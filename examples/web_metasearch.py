@@ -19,9 +19,10 @@ fetch-on-demand client -- same accesses charged, same answers, less
 wall-clock.
 
 By default the engines are in-process simulated services; with
-``--subprocess`` they are served by a *spawned server process* over
-the real wire protocol (every page crosses a TCP socket; the latency
-model runs server-side), and the queries run unchanged.
+``--subprocess`` they are served by a *spawned daemon* (``python -m
+repro.server --store``, the same process that serves whole queries)
+over the real wire protocol (every page crosses a TCP socket; the
+latency model runs server-side), and the queries run unchanged.
 
 With ``--server`` the engines sit behind an embedded
 :class:`~repro.server.service.QueryService`: a batch of concurrent
@@ -523,7 +524,7 @@ def main(
             engine_db, latency=0.002, jitter=0.001, latency_seed=7
         )
         print(
-            f"engines served by subprocess pid={server.pid} at "
+            f"engines served by the repro.server daemon pid={server.pid} at "
             f"{server.address[0]}:{server.address[1]} "
             "(every page crosses a real socket)"
         )

@@ -35,13 +35,8 @@ Standing queries::
     live.update_grade(42, 0, 0.99)   # callbacks fire iff the top-k
     live.delete(7)                   # result actually changed
 
-The curated public surface is ``repro.__all__``; simulated-service
-helpers moved to :mod:`repro.services` (importing them from ``repro``
-still works but emits :class:`DeprecationWarning`).
+The curated public surface is ``repro.__all__``.
 """
-
-import importlib
-import warnings
 
 from . import (
     aggregation,
@@ -148,28 +143,3 @@ __all__ = [
     "assemble_database",
     "__version__",
 ]
-
-#: renamed/relocated symbols kept importable for one deprecation cycle:
-#: ``from repro import services_for_database`` still works but warns,
-#: pointing at the supported home.
-_DEPRECATED_ALIASES = {
-    "AsyncAccessSession": "repro.services",
-    "LatencyModel": "repro.services",
-    "SimulatedListService": "repro.services",
-    "assemble_remote_database": "repro.services",
-    "services_for_database": "repro.services",
-    "services_for_sources": "repro.services",
-}
-
-
-def __getattr__(name: str):
-    home = _DEPRECATED_ALIASES.get(name)
-    if home is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro' is deprecated; "
-        f"import it from '{home}' instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)

@@ -850,7 +850,7 @@ class MutableShardedDatabase(MutableColumnarDatabase, ShardedDatabase):
     @property
     def shard_bounds(self) -> np.ndarray:
         """The shard layout over the *compacted* (live, dense) row
-        space -- what :meth:`snapshot` and npz persistence use."""
+        space -- what :meth:`snapshot` and store persistence use."""
         slots = self._live_slots()
         bounds = np.searchsorted(
             slots, self._shard_bounds, side="left"

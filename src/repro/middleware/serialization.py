@@ -1,24 +1,15 @@
-"""Persistence for databases: JSON (portable, explicit tie order) and
-NumPy ``.npz`` (compact, for large synthetic workloads).
+"""Legacy ``.npz`` archive loading, and the wire codecs.
 
-The JSON form stores the per-list orderings explicitly, so adversarial
-constructions round-trip with their tie placement intact -- the property
-several of the paper's counterexamples depend on.
-
-The ``.npz`` form stores the grade matrix *plus the per-list order
-arrays* (and, for a :class:`~repro.middleware.database.ShardedDatabase`,
-the shard layout), so a reload rebuilds the columnar backend directly:
-no argsort is re-run, and the exact tie order -- adversarial placements
-included -- survives the round trip.  :func:`load_npz` therefore returns
-a ready-to-query :class:`~repro.middleware.database.ColumnarDatabase`
-(or :class:`~repro.middleware.database.ShardedDatabase` when a shard
-layout was persisted or ``num_shards`` is requested).  Files written by
-the pre-order-array format (grades only) still load, rebuilding
-orderings with the deterministic stable sort of
-:meth:`Database.from_array` exactly as before.
-
-Object ids are stored as strings in the ``.npz`` form; integer ids are
-restored on load (other id types come back as their ``str()``).
+Databases are written in one format, the v3 store of
+:func:`repro.store.save_store`.  :func:`load_npz` remains only as
+:func:`repro.store.open_store`'s read-only path for the two archive
+formats that preceded it: v1 (grade matrix and object ids; orderings
+are rebuilt with the deterministic stable sort of
+:meth:`Database.from_array`) and v2 (``repro-database-npz-v2``: also
+the per-list order arrays and, for a sharded database, the shard
+layout -- reloaded without re-sorting, tie order intact).  Object ids
+are stored as strings; integer ids are restored on load (other id
+types come back as their ``str()``).
 
 Wire codecs
 -----------
@@ -62,7 +53,6 @@ are ints or strings, both covered exactly.
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from pathlib import Path
@@ -70,12 +60,9 @@ from pathlib import Path
 import numpy as np
 
 from .database import ColumnarDatabase, Database, ShardedDatabase
-from .errors import DatabaseError, WireFormatError
+from .errors import WireFormatError
 
 __all__ = [
-    "save_json",
-    "load_json",
-    "save_npz",
     "load_npz",
     "MAX_FRAME_BYTES",
     "FRAME_HEADER_BYTES",
@@ -90,61 +77,6 @@ __all__ = [
     "COMPRESS_THRESHOLD_BYTES",
 ]
 
-_FORMAT = "repro-database-v1"
-_NPZ_FORMAT = "repro-database-npz-v2"
-
-
-def save_json(db: Database, path: str | Path) -> None:
-    """Write ``db`` to ``path`` as JSON, preserving exact tie order."""
-    columns: list[list] = []
-    for i in range(db.num_lists):
-        column: list[list] = []
-        for position in range(db.num_objects):
-            obj, grade = db.sorted_entry(i, position)
-            column.append([obj, grade])
-        columns.append(column)
-    payload = {"format": _FORMAT, "m": db.num_lists, "columns": columns}
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_json(path: str | Path) -> Database:
-    """Read a database written by :func:`save_json`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != _FORMAT:
-        raise DatabaseError(
-            f"{path}: not a {_FORMAT} file "
-            f"(format={payload.get('format')!r})"
-        )
-    columns = [
-        [(obj, float(grade)) for obj, grade in column]
-        for column in payload["columns"]
-    ]
-    return Database.from_columns(columns)
-
-
-def save_npz(db: Database, path: str | Path) -> None:
-    """Write ``db`` to a compressed ``.npz``: grade matrix, object ids,
-    per-list order arrays, and -- for a sharded database -- the shard
-    layout, so :func:`load_npz` skips the argsort and preserves the
-    exact tie order."""
-    col = db.to_columnar()
-    m = col.num_lists
-    order_rows = np.stack(
-        [np.asarray(col._order_rows[i], dtype=np.int64) for i in range(m)]
-    )
-    ids = col._ids
-    payload = {
-        "format": np.array(_NPZ_FORMAT),
-        "grades": col._matrix,
-        "object_ids": np.array([str(obj) for obj in ids]),
-        "int_ids": np.array([isinstance(obj, int) for obj in ids]),
-        "order_rows": order_rows,
-    }
-    if isinstance(db, ShardedDatabase):
-        payload["shard_bounds"] = db.shard_bounds.astype(np.int64)
-    np.savez_compressed(Path(path), **payload)
-
-
 def _restore_ids(raw_ids: np.ndarray, int_ids: np.ndarray) -> list:
     return [
         int(obj) if is_int else str(obj)
@@ -152,30 +84,23 @@ def _restore_ids(raw_ids: np.ndarray, int_ids: np.ndarray) -> list:
     ]
 
 
-def load_npz(
-    path: str | Path, num_shards: int | None = None
-) -> Database:
-    """Read a database written by :func:`save_npz`.
+def load_npz(path: str | Path) -> Database:
+    """Read a legacy v1/v2 ``.npz`` archive into RAM.
 
-    Files carrying order arrays come back as a
+    v2 archives come back as a
     :class:`~repro.middleware.database.ColumnarDatabase` built directly
     from the persisted orderings (no re-sort, tie order intact), or as a
-    :class:`~repro.middleware.database.ShardedDatabase` when the file
-    stores a shard layout.  ``num_shards`` re-shards into that many
-    balanced contiguous shards regardless of the persisted layout.
-    Legacy files (grades only) rebuild orderings with the deterministic
-    stable sort of :meth:`Database.from_array`, as before.
+    :class:`~repro.middleware.database.ShardedDatabase` when the archive
+    stores a shard layout.  v1 archives (grades only) rebuild orderings
+    with the deterministic stable sort of :meth:`Database.from_array`.
     """
     with np.load(Path(path), allow_pickle=False) as data:
         files = set(data.files)
         grades = data["grades"]
         ids = _restore_ids(data["object_ids"], data["int_ids"])
         if "order_rows" not in files:
-            # legacy format: orderings were not persisted
-            db: Database = Database.from_array(grades, object_ids=ids)
-            if num_shards is not None:
-                return db.to_sharded(num_shards)
-            return db
+            # v1: orderings were not persisted
+            return Database.from_array(grades, object_ids=ids)
         order_rows = [
             np.asarray(rows, dtype=np.intp) for rows in data["order_rows"]
         ]
@@ -185,14 +110,9 @@ def load_npz(
             else None
         )
     col = ColumnarDatabase(grades, ids, order_rows, validate=True)
-    if num_shards is not None:
-        sharded = ShardedDatabase.from_database(col, num_shards=num_shards)
-    elif shard_bounds is not None:
-        sharded = ShardedDatabase.from_database(
-            col, shard_bounds=shard_bounds
-        )
-    else:
+    if shard_bounds is None:
         return col
+    sharded = ShardedDatabase.from_database(col, shard_bounds=shard_bounds)
     # the merged global orders were just loaded (and the shard runs are
     # split from them, so the merge reproduces them bit-for-bit); hand
     # them to the shard backend so sorted access skips the merge too

@@ -6,8 +6,8 @@ one set of backing graded sources, scheduled cooperatively on a single
 asyncio event loop, with per-query billing.
 
 * :mod:`repro.server.scheduler` -- :class:`Scheduler`: the cooperative
-  three-band dispatcher (urgent / timed / idle) the service's
-  housekeeping rides on; idle work can never starve query dispatch.
+  two-band dispatcher (urgent / timed) the service's housekeeping
+  rides on; it sleeps when there is nothing to do.
 * :mod:`repro.server.scancache` -- :class:`SharedListScan` /
   :class:`ScanCache`: one underlying sorted cursor per list, shared by
   every concurrent query over that list.  Sharing happens *below* the
@@ -23,7 +23,9 @@ asyncio event loop, with per-query billing.
 * :mod:`repro.server.wire` / :mod:`repro.server.client` --
   :class:`QueryServer` / :class:`QueryServiceClient`: the service over
   real sockets on the :class:`~repro.transport.frames.FrameServer`
-  chassis (``python -m repro.server`` is the standalone daemon).
+  chassis.  ``python -m repro.server`` is the one daemon: the same
+  port serves the database's sorted lists (the source ops of
+  :mod:`repro.transport.server`) and whole queries.
 
 The parity contract (enforced by ``tests/test_server.py``): every
 query of a concurrent mix -- any engine, any k, overlapping or

@@ -1,19 +1,27 @@
-"""CLI entry point: the standalone query-service daemon.
+"""CLI entry point: the one daemon, serving both the sorted lists and
+the queries over them.
 
 ::
 
-    PYTHONPATH=src python -m repro.server --npz db.npz --port 0
     PYTHONPATH=src python -m repro.server --store db.store --port 0
 
-Loads the persisted database (``--npz`` fully into RAM; ``--store``
+Opens the database written by :func:`~repro.store.save_store`
 out-of-core through the memory-mapped v3 store and its LRU page cache,
-sized by ``--store-cache-mb`` / ``--store-page-rows`` -- the cache's
+sized by ``--store-cache-mb`` / ``--store-page-rows`` (the cache's
 hit/miss/eviction counters ride the obs plane and the ``stats`` wire
-op's ``store`` key), builds one simulated service per list
-(optionally behind a seeded latency model), mounts a
+op's ``store`` key); a legacy v1/v2 ``.npz`` archive is recognised
+and loaded into RAM instead.  It builds one simulated service per
+list -- plus the per-shard run grid when the store is sharded --
+optionally behind a seeded server-side latency model, mounts a
 :class:`~repro.server.service.QueryService` on a
 :class:`~repro.server.wire.QueryServer`, binds, prints one readiness
 line ``LISTENING <host> <port>`` (flushed), and serves until killed.
+
+Clients reach the same port two ways: as the paper's sorted lists
+(the ``meta``/``page``/``random``/``run_page`` source ops --
+:func:`~repro.services.network.network_services`,
+:func:`~repro.services.network.network_shard_runs`), or as the
+middleware (whole queries -- :class:`~repro.server.QueryServiceClient`).
 SIGTERM is graceful: stop accepting, drain in-flight requests
 (bounded by ``--drain-timeout``), tear down the service, exit 0.
 
@@ -40,9 +48,9 @@ import sys
 from pathlib import Path
 
 from ..middleware.cost import AdmissionPolicy
-from ..middleware.serialization import load_npz
 from ..obs import Observability
 from ..services.simulated import LatencyModel
+from ..store import open_store
 from .service import QueryService
 from .wire import QueryServer
 
@@ -69,17 +77,12 @@ def build_server(args: argparse.Namespace) -> QueryServer:
                 else None
             ),
         )
-    if args.store is not None:
-        from ..store import open_store
-
-        db = open_store(
-            Path(args.store),
-            cache_bytes=args.store_cache_mb * 1024 * 1024,
-            page_rows=args.store_page_rows,
-            obs=obs,
-        )
-    else:
-        db = load_npz(Path(args.npz))
+    db = open_store(
+        Path(args.store),
+        cache_bytes=args.store_cache_mb * 1024 * 1024,
+        page_rows=args.store_page_rows,
+        obs=obs,
+    )
     service = QueryService(
         database=db,
         latency=latency,
@@ -133,15 +136,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.server", description=__doc__
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--npz", help="database written by save_npz (loaded into RAM)"
-    )
-    source.add_argument(
+    parser.add_argument(
         "--store",
+        required=True,
         help="v3 store written by save_store, served out-of-core via "
         "np.memmap behind an LRU page cache (legacy .npz files are "
-        "detected and loaded into RAM as with --npz)",
+        "detected and loaded into RAM)",
     )
     parser.add_argument(
         "--store-cache-mb",
@@ -195,13 +195,13 @@ def main(argv: list[str] | None = None) -> int:
         "--latency",
         type=float,
         default=0.0,
-        help="per-service-call latency base, seconds",
+        help="server-side per-call latency base, seconds",
     )
     parser.add_argument(
         "--jitter",
         type=float,
         default=0.0,
-        help="per-service-call latency jitter, seconds",
+        help="server-side per-call latency jitter, seconds",
     )
     parser.add_argument("--latency-seed", type=int, default=0)
     parser.add_argument(

@@ -1,23 +1,23 @@
 """A cooperative scheduler for the query service's event loop.
 
-Modeled on the classic single-loop media-player dispatcher: three
+Modeled on the classic single-loop media-player dispatcher: two
 priority bands on one asyncio loop --
 
 * **urgent** calls run first, FIFO (admission dispatch: "a slot just
   freed, start the next queued query");
-* **timed** calls run when due (deadline sweeps, delayed retries);
-* **idle** calls run only when nothing urgent is queued and no timed
-  call is due -- at most *one* idle call per cycle, so housekeeping
-  (forgetting collected queries, trimming caches) can never starve
-  query dispatch, and a loop hosting hundreds of concurrent queries
-  degrades by doing less housekeeping, not by serving queries late.
+* **timed** calls run when due (housekeeping sweeps, long-poll
+  timeouts, delayed retries).
+
+When both bands are empty the driver sleeps until it is poked or the
+next timed call falls due, so an idle scheduler costs nothing.
+Recurring work re-arms itself with :meth:`Scheduler.call_later`.
 
 The scheduler is loop-affine: :meth:`start` must run on the loop that
-will host it, and ``call_soon``/``call_later``/``add_idle`` must be
-invoked on that loop (cross-thread callers go through
-``loop.call_soon_threadsafe``).  Callbacks are plain callables;
-exceptions are caught and kept in :attr:`failures` (bounded) so one
-broken housekeeping hook cannot kill the service.
+will host it, and ``call_soon``/``call_later`` must be invoked on that
+loop (cross-thread callers go through ``loop.call_soon_threadsafe``).
+Callbacks are plain callables; exceptions are caught and kept in
+:attr:`failures` (bounded) so one broken housekeeping hook cannot kill
+the service.
 """
 
 from __future__ import annotations
@@ -52,16 +52,13 @@ class Scheduler:
     """See the module docstring.
 
     Lifecycle: construct anywhere, :meth:`start` on the host loop,
-    ``await`` :meth:`stop` to drain.  The driver task sleeps on an
-    event when all three bands are empty, so an idle scheduler costs
-    nothing.
+    ``await`` :meth:`stop` to drain.
     """
 
     def __init__(self):
         self._urgent: deque[ScheduledCall] = deque()
         # (due, seq, call) -- seq breaks ties FIFO among equal due times
         self._timed: list[tuple[float, int, ScheduledCall]] = []
-        self._idle: deque[ScheduledCall] = deque()
         self._seq = 0
         self._wake: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
@@ -70,7 +67,7 @@ class Scheduler:
         #: exceptions raised by callbacks, most recent last (bounded)
         self.failures: deque[BaseException] = deque(maxlen=MAX_FAILURES)
         #: counters for observability: calls run per band
-        self.ran = {"urgent": 0, "timed": 0, "idle": 0}
+        self.ran = {"urgent": 0, "timed": 0}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -104,8 +101,8 @@ class Scheduler:
     # scheduling (loop-side)
     # ------------------------------------------------------------------
     def call_soon(self, fn: Callable, *args) -> ScheduledCall:
-        """Run ``fn(*args)`` on the next cycle, before any timed or
-        idle work."""
+        """Run ``fn(*args)`` on the next cycle, before any timed
+        work."""
         call = ScheduledCall(fn, args)
         self._urgent.append(call)
         self._poke()
@@ -123,20 +120,11 @@ class Scheduler:
         self._poke()
         return call
 
-    def add_idle(self, fn: Callable, *args) -> ScheduledCall:
-        """Run ``fn(*args)`` once, when a cycle finds nothing urgent
-        and nothing due.  Recurring housekeeping re-adds itself."""
-        call = ScheduledCall(fn, args)
-        self._idle.append(call)
-        self._poke()
-        return call
-
     def pending(self) -> dict:
         """Band sizes, for tests and status endpoints."""
         return {
             "urgent": len(self._urgent),
             "timed": len(self._timed),
-            "idle": len(self._idle),
         }
 
     # ------------------------------------------------------------------
@@ -160,7 +148,7 @@ class Scheduler:
         while not self._stopping:
             # band 1: drain every urgent call queued so far (calls a
             # callback enqueues run in this same cycle, still ahead of
-            # timed/idle work)
+            # timed work)
             while self._urgent and not self._stopping:
                 self._invoke("urgent", self._urgent.popleft())
             # band 2: run every due timed call
@@ -170,13 +158,6 @@ class Scheduler:
                 self._invoke("timed", call)
             if self._urgent:
                 continue  # a timed callback queued urgent work
-            # band 3: exactly one idle call per quiet cycle
-            if self._idle:
-                self._invoke("idle", self._idle.popleft())
-                # yield so ready loop callbacks (I/O, new submissions)
-                # interleave between idle steps
-                await asyncio.sleep(0)
-                continue
             # nothing to do: sleep until poked or the next timed call
             self._wake.clear()
             if self._urgent or self._stopping:

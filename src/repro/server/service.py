@@ -9,8 +9,9 @@ cooperatively on a single asyncio loop.  The moving parts:
   wait FIFO in a bounded queue, and a full queue refuses with
   :class:`~repro.middleware.errors.AdmissionError`.  Dispatch runs as
   *urgent* work on the :class:`~repro.server.scheduler.Scheduler`;
-  housekeeping (forgetting collected queries) runs on its idle band,
-  so bookkeeping can never delay a query start.
+  housekeeping (forgetting collected queries) is a timed call every
+  ``sweep_after`` seconds, so bookkeeping can never delay a query
+  start and an idle service sleeps.
 * **Scan sharing** (:class:`~repro.server.scancache.ScanCache`):
   concurrent queries over the same lists read one underlying sorted
   cursor per list.  Charging is untouched -- each query's
@@ -67,7 +68,7 @@ from ..middleware.cost import (
     QueryBill,
     QueryBudget,
 )
-from ..middleware.database import Database
+from ..middleware.database import Database, ShardedDatabase
 from ..middleware.errors import (
     AdmissionError,
     DatabaseError,
@@ -78,10 +79,15 @@ from ..middleware.errors import (
 from ..middleware.mutable import MutableDatabase
 from ..obs import NULL_INSTRUMENT, Observability
 from ..views import LiveView, ViewEvent
-from ..services.assemble import services_for_database
+from ..services.assemble import services_for_database, shard_run_services
 from ..services.protocol import RemoteGradedSource
 from ..services.session import SharedScanSession
-from ..services.simulated import FailureModel, LatencyModel, RetryPolicy
+from ..services.simulated import (
+    FailureModel,
+    LatencyModel,
+    RetryPolicy,
+    ShardRunService,
+)
 from .scancache import ScanCache
 from .scheduler import Scheduler
 
@@ -365,8 +371,8 @@ class QueryHandle:
         return self.service.bill_for(self.query_id)
 
 
-#: default seconds a collected terminal query lingers before the idle
-#: sweeper forgets it
+#: default seconds between housekeeping sweeps (and the least time a
+#: collected terminal query lingers before one forgets it)
 SWEEP_AFTER_S = 30.0
 
 
@@ -410,8 +416,8 @@ class QueryService:
         Deadlock net for worker threads blocked on a scan frontier or a
         random-access bridge.
     sweep_after:
-        Seconds a collected terminal query lingers before the idle
-        sweeper forgets it.
+        Seconds between housekeeping sweeps; a collected terminal query
+        lingers at least this long before a sweep forgets it.
     obs:
         An :class:`~repro.obs.Observability` plane; when given, every
         query carries a lifecycle trace plus a bound-trajectory probe,
@@ -437,26 +443,29 @@ class QueryService:
         sweep_after: float = SWEEP_AFTER_S,
         obs: Observability | None = None,
     ):
+        if sweep_after <= 0:
+            raise ValueError(f"sweep_after must be > 0, got {sweep_after}")
         if (services is None) == (database is None):
             raise DatabaseError(
                 "pass exactly one of services= or database="
             )
-        if database is not None:
-            services = services_for_database(
-                database, latency=latency, failures=failures, retry=retry
-            )
-        elif latency is not None or failures is not None or retry is not None:
-            raise DatabaseError(
-                "latency/failures/retry only apply with database=; "
-                "attach models to the services you pass"
-            )
-        assert services is not None
         # retained for the mutation plane: services snapshot the
         # database at construction, so after a mutation the service
         # rebuilds them (and the scan cache) from the live database
         self._database = database
         self._source_models = (latency, failures, retry)
-        self._services = list(services)
+        self._services: list[RemoteGradedSource] = []
+        self._run_grid: list[list[ShardRunService]] = []
+        if database is not None:
+            self._build_sources()
+        elif latency is not None or failures is not None or retry is not None:
+            raise DatabaseError(
+                "latency/failures/retry only apply with database=; "
+                "attach models to the services you pass"
+            )
+        else:
+            assert services is not None
+            self._services = list(services)
         if not self._services:
             raise DatabaseError("need at least one service")
         sizes = {int(s.num_entries) for s in self._services}
@@ -584,6 +593,18 @@ class QueryService:
         return self._admission
 
     @property
+    def sources(
+        self,
+    ) -> tuple[list[RemoteGradedSource], list[list[ShardRunService]]]:
+        """The per-list sources and ``[list][shard]`` run grid this
+        service exports over the wire: the ones it built over
+        ``database=`` (the grid is empty unless the database is
+        sharded), and none for caller-supplied ``services=``."""
+        if self._database is None:
+            return [], []
+        return self._services, self._run_grid
+
+    @property
     def database(self) -> Database | None:
         """The backing database, when the service owns one (``None``
         for externally-provided services)."""
@@ -706,7 +727,7 @@ class QueryService:
             shared=self._share_scans,
         )
         self._scheduler.start()
-        self._scheduler.add_idle(self._sweep)
+        self._scheduler.call_later(self._sweep_after, self._sweep)
         return self
 
     async def adrain(self, timeout: float = 5.0) -> bool:
@@ -1248,16 +1269,7 @@ class QueryService:
         the simulated sources snapshot their list contents at
         construction, and the scan cache holds shared sorted prefixes
         of the old order, so both are rebuilt."""
-        assert self._database is not None
-        latency, failures, retry = self._source_models
-        self._services = list(
-            services_for_database(
-                self._database,
-                latency=latency,
-                failures=failures,
-                retry=retry,
-            )
-        )
+        self._build_sources()
         self._num_objects = int(self._services[0].num_entries)
         if self._cache is not None:
             await self._cache.aclose()
@@ -1268,6 +1280,20 @@ class QueryService:
                 readahead_pages=self._readahead_pages,
                 shared=self._share_scans,
             )
+
+    def _build_sources(self) -> None:
+        """Build one simulated source per list of the database -- and,
+        when it is sharded, the per-shard run grid -- carrying the
+        service's latency/failure/retry models."""
+        assert self._database is not None
+        latency, failures, retry = self._source_models
+        models = {"latency": latency, "failures": failures, "retry": retry}
+        self._services = list(services_for_database(self._database, **models))
+        self._run_grid = (
+            shard_run_services(self._database, **models)
+            if isinstance(self._database, ShardedDatabase)
+            else []
+        )
 
     # -- thread-safe wrappers ------------------------------------------
     def subscribe(self, spec: QuerySpec) -> dict:
@@ -1317,12 +1343,12 @@ class QueryService:
         return future.result(timeout=2 * self._wait_timeout)
 
     # ------------------------------------------------------------------
-    # housekeeping (idle band)
+    # housekeeping
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
-        """Idle callback: forget terminal queries whose results were
-        collected and have lingered past ``sweep_after``; re-queues
-        itself (recurring idle work)."""
+        """Timed callback: forget terminal queries whose results were
+        collected and have lingered past ``sweep_after``; re-arms
+        itself ``sweep_after`` seconds out."""
         now = time.monotonic()
         for query_id in list(self._queries):
             state = self._queries[query_id]
@@ -1334,7 +1360,7 @@ class QueryService:
             ):
                 del self._queries[query_id]
         if not self._draining:
-            self._scheduler.add_idle(self._sweep)
+            self._scheduler.call_later(self._sweep_after, self._sweep)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -22,6 +22,14 @@ uses for raw source reads.  Ops:
     ``mutable`` so clients can feature-detect; v1 servers simply omit
     both keys, and v1 clients ignore them -- the codec is
     unknown-field tolerant in both directions.
+``page`` / ``random`` / ``run_page``
+    The source ops of :mod:`repro.transport.server`, answered by the
+    same :func:`~repro.transport.server.serve_source_op` over the
+    sources the service built for ``database=`` -- so one daemon
+    serves both the lists (``network_services``) and the queries, and
+    ``meta`` carries the union of both key sets.  A service over
+    caller-supplied ``services=`` exports no sources: ``meta`` lists
+    none, and the source ops fail with ``error="unavailable"``.
 ``subscribe`` / ``view_events`` / ``unsubscribe`` / ``mutate``
     Protocol v2, mutable-backed services only: register a standing
     query (``{"spec": {..., "mode": "view"}}`` -> ``{"view": id,
@@ -54,12 +62,14 @@ from ..middleware.access import AccessStats
 from ..middleware.errors import (
     AdmissionError,
     QueryCancelledError,
+    ServiceUnavailableError,
     UnknownQueryError,
     UnknownViewError,
     WireFormatError,
 )
 from ..core.result import RankedItem, TopKResult
 from ..transport.frames import BASE_ERROR_CODES, FrameConnection, FrameServer
+from ..transport.server import SOURCE_OPS, serve_source_op
 from .service import ALGORITHMS, AGGREGATIONS, QueryService, QuerySpec
 
 __all__ = [
@@ -236,6 +246,8 @@ class QueryServer(FrameServer):
 
     async def _dispatch(self, message, conn: FrameConnection) -> dict:
         op = message.get("op")
+        if op in SOURCE_OPS:
+            return await self._source_op(message)
         if op == "query":
             spec = QuerySpec.from_dict(message.get("spec"))
             handle = await self._service.asubmit(spec)
@@ -258,16 +270,6 @@ class QueryServer(FrameServer):
             return {"stats": self._service.stats()}
         if op == "metrics":
             return {"metrics": self._service.metrics()}
-        if op == "meta":
-            return {
-                "m": self._service.num_lists,
-                "n": self._service.num_objects,
-                "algorithms": sorted(ALGORITHMS),
-                "aggregations": sorted(AGGREGATIONS),
-                "protocol": PROTOCOL_VERSION,
-                "mutable": self._service.mutable is not None,
-                "compression": "zlib",
-            }
         if op == "ping":
             return {"pong": True}
         if op == "subscribe":
@@ -290,6 +292,26 @@ class QueryServer(FrameServer):
         if op == "mutate":
             return await self._mutate(message)
         raise WireFormatError(f"unknown op {op!r}")
+
+    async def _source_op(self, message) -> dict:
+        sources, run_grid = self._service.sources
+        if message["op"] == "meta":
+            reply = await serve_source_op(message, sources, run_grid)
+            reply.update(
+                m=self._service.num_lists,
+                n=self._service.num_objects,
+                algorithms=sorted(ALGORITHMS),
+                aggregations=sorted(AGGREGATIONS),
+                protocol=PROTOCOL_VERSION,
+                mutable=self._service.mutable is not None,
+            )
+            return reply
+        if not sources:
+            raise ServiceUnavailableError(
+                "this query service runs over caller-supplied services "
+                "and exports no sources"
+            )
+        return await serve_source_op(message, sources, run_grid)
 
     def _error_response(self, rid, exc: BaseException) -> dict:
         response = super()._error_response(rid, exc)
@@ -365,8 +387,10 @@ class QueryServer(FrameServer):
         timeout = min(float(timeout), MAX_RESULT_WAIT_S)
         state = self._service.query_state(query_id)
         try:
+            # shielded: a poll that times out must not cancel the
+            # query's own future -- a later poll still collects it
             result = await asyncio.wait_for(
-                asyncio.wrap_future(state.future), timeout
+                asyncio.shield(asyncio.wrap_future(state.future)), timeout
             )
         except asyncio.TimeoutError:
             return {"done": False, "status": state.status}

@@ -49,12 +49,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 from ..middleware.database import Database, ShardedDatabase
+from ..middleware.mutable import MutableDatabase
 from ..middleware.errors import StoreFormatError
 
 __all__ = [
@@ -192,54 +195,59 @@ class StoreReader:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         try:
-            file_size = self.path.stat().st_size
-            with open(self.path, "rb") as f:
-                fixed = f.read(_FIXED_BYTES)
-                if len(fixed) < _FIXED_BYTES:
+            # held for the reader's lifetime: the header is validated
+            # against, and every segment maps, this one inode -- a
+            # store re-saved (renamed over) ``path`` after the open
+            # never leaks into this reader's pages
+            f = self._file = open(self.path, "rb")
+            weakref.finalize(self, f.close)
+            file_size = os.fstat(f.fileno()).st_size
+            fixed = f.read(_FIXED_BYTES)
+            if len(fixed) < _FIXED_BYTES:
+                raise StoreFormatError(
+                    f"{self.path}: truncated store header "
+                    f"({len(fixed)} of {_FIXED_BYTES} fixed bytes)"
+                )
+            magic = fixed[: len(STORE_MAGIC)]
+            if magic != STORE_MAGIC:
+                if magic[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
                     raise StoreFormatError(
-                        f"{self.path}: truncated store header "
-                        f"({len(fixed)} of {_FIXED_BYTES} fixed bytes)"
+                        f"{self.path}: legacy .npz database, not a "
+                        "v3 store (open it via open_store, which "
+                        "falls back to load_npz)"
                     )
-                magic = fixed[: len(STORE_MAGIC)]
-                if magic != STORE_MAGIC:
-                    if magic[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
-                        raise StoreFormatError(
-                            f"{self.path}: legacy .npz database, not a "
-                            "v3 store (open it via open_store, which "
-                            "falls back to load_npz)"
-                        )
-                    raise StoreFormatError(
-                        f"{self.path}: not a repro-store file "
-                        f"(bad magic {magic!r})"
-                    )
-                version = _U32.unpack_from(fixed, len(STORE_MAGIC))[0]
-                if version > STORE_VERSION:
-                    raise StoreFormatError(
-                        f"{self.path}: store format version {version} is "
-                        f"newer than this build understands (reads up to "
-                        f"v{STORE_VERSION}); refusing to guess -- upgrade "
-                        "the reader or rewrite the store with save_store"
-                    )
-                if version < STORE_VERSION:
-                    raise StoreFormatError(
-                        f"{self.path}: store format version {version} "
-                        f"never existed as a binary store (v1/v2 are the "
-                        ".npz formats); expected v3"
-                    )
-                header_len = _U32.unpack_from(
-                    fixed, len(STORE_MAGIC) + _U32.size
-                )[0]
-                if header_len == 0 or _FIXED_BYTES + header_len > file_size:
-                    raise StoreFormatError(
-                        f"{self.path}: truncated store header (announces "
-                        f"{header_len} header bytes, file holds "
-                        f"{file_size - _FIXED_BYTES} past the magic)"
-                    )
-                raw_header = f.read(header_len)
-                if len(raw_header) < header_len:
-                    raise StoreFormatError(
-                        f"{self.path}: truncated store header"
-                    )
+                raise StoreFormatError(
+                    f"{self.path}: not a repro-store file "
+                    f"(bad magic {magic!r})"
+                )
+            version = _U32.unpack_from(fixed, len(STORE_MAGIC))[0]
+            if version > STORE_VERSION:
+                raise StoreFormatError(
+                    f"{self.path}: store format version {version} is "
+                    f"newer than this build understands (reads up to "
+                    f"v{STORE_VERSION}); refusing to guess -- upgrade "
+                    "the reader or rewrite the store with save_store"
+                )
+            if version < STORE_VERSION:
+                raise StoreFormatError(
+                    f"{self.path}: store format version {version} "
+                    f"never existed as a binary store (v1/v2 are the "
+                    ".npz formats); expected v3"
+                )
+            header_len = _U32.unpack_from(
+                fixed, len(STORE_MAGIC) + _U32.size
+            )[0]
+            if header_len == 0 or _FIXED_BYTES + header_len > file_size:
+                raise StoreFormatError(
+                    f"{self.path}: truncated store header (announces "
+                    f"{header_len} header bytes, file holds "
+                    f"{file_size - _FIXED_BYTES} past the magic)"
+                )
+            raw_header = f.read(header_len)
+            if len(raw_header) < header_len:
+                raise StoreFormatError(
+                    f"{self.path}: truncated store header"
+                )
         except OSError as exc:
             raise StoreFormatError(
                 f"{path}: cannot read store header: {exc}"
@@ -420,7 +428,7 @@ class StoreReader:
                 f"{self.path}: no segment named {name!r}"
             )
         return np.memmap(
-            self.path,
+            self._file,
             dtype=np.dtype(spec.dtype),
             mode="r",
             offset=spec.offset,
@@ -458,15 +466,22 @@ class StoreWriter:
     a segment at an explicit row offset, so a ≫-RAM dataset can be
     written with O(block) memory.  Use as a context manager.
 
+    The write is atomic: blocks go to a temporary file next to
+    ``path``, and only a complete store is fsynced and renamed onto
+    ``path``.  A reader that has the old store mapped keeps reading the
+    old inode, so re-saving a store under a live reader neither
+    crashes it nor feeds it a mix of old and new pages.
+
     A store is only valid once every declared row of every segment has
     been written: because the file is pre-sized with a complete header,
     a partial file would pass every :class:`StoreReader` structural
     check and silently serve zeros.  :meth:`close` therefore verifies
     coverage (tracked as written row intervals, so interior holes are
-    caught too) and **deletes** the file before raising
+    caught too) and **deletes** the temporary file before raising
     :class:`~repro.middleware.errors.StoreFormatError` when anything is
     missing; leaving the ``with`` block via an exception likewise
-    discards the partial file (:meth:`abort`).
+    discards it (:meth:`abort`).  Either way an existing store at
+    ``path`` is left untouched.
     """
 
     def __init__(
@@ -539,7 +554,10 @@ class StoreWriter:
         total = max(
             spec.offset + spec.nbytes for spec in self._segments.values()
         )
-        self._file: io.BufferedRandom | None = open(self.path, "w+b")
+        self._tmp_path = self.path.with_name(
+            f".{self.path.name}.{os.getpid()}.{id(self):x}.tmp"
+        )
+        self._file: io.BufferedRandom | None = open(self._tmp_path, "x+b")
         self._file.write(STORE_MAGIC)
         self._file.write(_U32.pack(STORE_VERSION))
         self._file.write(_U32.pack(len(raw)))
@@ -592,14 +610,15 @@ class StoreWriter:
         return missing
 
     def abort(self) -> None:
-        """Discard the store: close the handle and delete the partial
-        file.  No-op after a successful :meth:`close`."""
+        """Discard the store: close the handle and delete the temporary
+        file, leaving ``path`` as it was.  No-op after a successful
+        :meth:`close`."""
         if self._file is None:
             return
         self._file.close()
         self._file = None
         try:
-            self.path.unlink()
+            self._tmp_path.unlink()
         except OSError:  # pragma: no cover - already gone / unlinkable
             pass
 
@@ -617,8 +636,10 @@ class StoreWriter:
                 f"segments: {shown} -- the partial file was deleted"
             )
         self._file.flush()
+        os.fsync(self._file.fileno())
         self._file.close()
         self._file = None
+        os.replace(self._tmp_path, self.path)
 
     def __enter__(self) -> "StoreWriter":
         return self
@@ -640,8 +661,11 @@ def save_store(db: Database, path: str | Path) -> None:
     .ShardedDatabase` with more than one shard additionally persists
     its per-(list, shard) runs and shard layout, so an
     ``open_store``-ed copy shards identically -- tie order,
-    ``AccessStats`` and trace bytes included.
+    ``AccessStats`` and trace bytes included.  A mutable database is
+    persisted as its compacted :meth:`snapshot`.
     """
+    if isinstance(db, MutableDatabase):
+        db = db.snapshot()
     col = db.to_columnar()
     n, m = col.num_objects, col.num_lists
     ids = None if col._trivial_ids else list(col._ids)

@@ -11,17 +11,19 @@ serialized, framed, and shipped over a TCP socket.
   :class:`GradedSourceServer` / :func:`serve_sources`: an asyncio TCP
   server exporting graded sources (and per-shard run grids) over the
   length-prefixed frame protocol, with per-connection request
-  multiplexing.
+  multiplexing.  Its source ops have one implementation,
+  ``serve_source_op``, which the query daemon (``python -m
+  repro.server``) answers too: one process serves the lists and the
+  queries over them.
 * :mod:`repro.transport.client` -- :class:`TransportClient` (pooled
   multiplexed connections, connection-failure retry, error-taxonomy
   mapping), :class:`NetworkGradedSource` (a real
   :class:`~repro.services.protocol.RemoteGradedSource`), and
   :class:`NetworkRunSource` (shard runs for
   :func:`~repro.services.assemble.fetch_merged_orders`).
-* :mod:`repro.transport.serve` -- the standalone server CLI
-  (``python -m repro.transport.serve``).
 * :mod:`repro.transport.harness` -- :class:`ServerProcess`, the
-  subprocess-spawning test harness.
+  subprocess-spawning test harness: it persists a database with
+  ``save_store`` and spawns that daemon on it.
 
 The wire codecs live in :mod:`repro.middleware.serialization`; the
 connect-level factories mirroring ``services_for_database`` /

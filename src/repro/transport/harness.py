@@ -1,11 +1,12 @@
-"""Subprocess harness: a wire-protocol server in a *real* child
-process.
+"""Subprocess harness: the daemon in a *real* child process.
 
 The differential acceptance tests need every source to live behind an
 actual process boundary -- bytes on a socket, no shared memory, no
 shared event loop.  :class:`ServerProcess` provides that: it persists
-a database to ``.npz`` (tie order intact), spawns
-``python -m repro.transport.serve`` on it, waits for the readiness
+a database with :func:`~repro.store.save_store` (tie order and shard
+layout intact), spawns ``python -m repro.server --store`` on it --
+the same daemon that serves queries, so the sources a test reads and
+the ones a query would read are one thing -- waits for the readiness
 line, and exposes the bound :attr:`address`.
 
 Cleanup is layered because the async test modules run under a SIGALRM
@@ -31,7 +32,7 @@ from pathlib import Path
 
 from ..middleware.database import Database
 from ..middleware.errors import ServiceUnavailableError
-from ..middleware.serialization import save_npz
+from ..store import save_store
 
 __all__ = ["ServerProcess"]
 
@@ -48,7 +49,7 @@ atexit.register(_reap_all)
 
 
 class ServerProcess:
-    """Spawn ``python -m repro.transport.serve`` over a database.
+    """Spawn ``python -m repro.server --store`` over a database.
 
     Use as a context manager::
 
@@ -61,7 +62,7 @@ class ServerProcess:
         Served lists (and, when sharded or ``num_shards`` is given,
         the per-shard run grid).
     num_shards:
-        Re-shard before serving.
+        Re-shard (with ``to_sharded``) before persisting.
     latency, jitter, latency_seed:
         Server-side per-call latency model (seconds).
     startup_timeout:
@@ -81,9 +82,10 @@ class ServerProcess:
         startup_timeout: float = 30.0,
     ):
         self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-transport-")
-        self._npz_path = Path(self._tmpdir.name) / "db.npz"
-        save_npz(database, self._npz_path)
-        self._num_shards = num_shards
+        self._store_path = Path(self._tmpdir.name) / "db.store"
+        if num_shards is not None:
+            database = database.to_sharded(num_shards)
+        save_store(database, self._store_path)
         self._latency = latency
         self._jitter = jitter
         self._latency_seed = latency_seed
@@ -96,14 +98,12 @@ class ServerProcess:
         command = [
             sys.executable,
             "-m",
-            "repro.transport.serve",
-            "--npz",
-            str(self._npz_path),
+            "repro.server",
+            "--store",
+            str(self._store_path),
             "--port",
             str(port),
         ]
-        if self._num_shards is not None:
-            command += ["--num-shards", str(self._num_shards)]
         if self._latency:
             command += ["--latency", repr(self._latency)]
         if self._jitter:
@@ -176,7 +176,7 @@ class ServerProcess:
         """SIGKILL the child *without* any draining -- the tool for
         provoking genuine mid-stream connection failures in tests.
 
-        The persisted ``.npz`` (and the registry entry, so ``atexit``
+        The persisted store (and the registry entry, so ``atexit``
         still reaps the tempdir) survives, which is what lets
         :meth:`restart` bring the replica back on the same port."""
         self.process.kill()

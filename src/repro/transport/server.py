@@ -11,7 +11,10 @@ The connection/lifecycle chassis (frame loop, per-request tasks,
 backpressure, drain, error frames) lives in
 :class:`~repro.transport.frames.FrameServer`; this module adds the
 source-serving operations (all reads, all idempotent -- the client may
-safely retry):
+safely retry).  :func:`serve_source_op` is their one implementation:
+:class:`~repro.server.wire.QueryServer` answers the same ops over the
+sources its query service built, which is how the ``python -m
+repro.server`` daemon serves both the lists and the queries.
 
 ``{"op": "meta"}``
     ``{"sources": [{name, n, sorted, random}, ...], "runs": [[shard
@@ -30,10 +33,10 @@ Failures raise out of the serving source (latency/failure models run
 the matching :mod:`repro.middleware.errors` type, so failure semantics
 are identical to the in-process path.
 
-Lifecycle: ``await start()`` / ``aclose()`` inside an event loop (the
-``repro.transport.serve`` CLI), or :meth:`start_in_thread` /
-:meth:`close` (context manager) to run the server on a background
-thread next to synchronous test or benchmark code.
+Lifecycle: ``await start()`` / ``aclose()`` inside an event loop, or
+:meth:`start_in_thread` / :meth:`close` (context manager) to run the
+server on a background thread next to synchronous test or benchmark
+code.
 """
 
 from __future__ import annotations
@@ -57,6 +60,64 @@ from ..services.simulated import (
 from .frames import FrameConnection, FrameServer
 
 __all__ = ["GradedSourceServer", "serve_sources"]
+
+#: the ops :func:`serve_source_op` answers
+SOURCE_OPS = frozenset({"meta", "page", "random", "run_page"})
+
+
+async def serve_source_op(
+    message: dict,
+    sources: Sequence[SimulatedListService],
+    run_grid: Sequence[Sequence[ShardRunService]],
+) -> dict:
+    """Answer one source op (see the module docstring) from
+    ``sources`` and the ``[list][shard]`` ``run_grid``."""
+    op = message.get("op")
+    if op == "meta":
+        return {
+            "sources": [
+                {
+                    "name": s.name,
+                    "n": s.num_entries,
+                    "sorted": s.supports_sorted,
+                    "random": s.supports_random,
+                }
+                for s in sources
+            ],
+            "runs": [[run.num_entries for run in row] for row in run_grid],
+            "compression": "zlib",
+        }
+    if op == "page":
+        source = _pick(sources, message["src"], "source")
+        page = await source.page(int(message["start"]), int(message["count"]))
+        return {
+            "objects": list(page.objects),
+            "grades": np.asarray(page.grades, dtype=np.float64),
+        }
+    if op == "random":
+        source = _pick(sources, message["src"], "source")
+        ids = message["ids"]
+        if not isinstance(ids, list):
+            raise WireFormatError("'ids' must be a list")
+        grades = await source.random_access_batch(ids)
+        return {"grades": np.asarray(grades, dtype=np.float64)}
+    if op == "run_page":
+        row = _pick(run_grid, message["list"], "run list")
+        run = _pick(row, message["shard"], "run shard")
+        rows, grades, ties = await run.run_page(
+            int(message["start"]), int(message["count"])
+        )
+        return {"rows": rows, "grades": grades, "ties": ties}
+    raise WireFormatError(f"unknown op {op!r}")
+
+
+def _pick(items: Sequence, index, what: str):
+    index = int(index)
+    if not (0 <= index < len(items)):
+        raise WireFormatError(
+            f"{what} index {index} out of range (serving {len(items)})"
+        )
+    return items[index]
 
 
 def _as_list_service(source) -> SimulatedListService:
@@ -129,7 +190,6 @@ class GradedSourceServer(FrameServer):
         cls,
         db: Database,
         *,
-        include_runs: bool = True,
         latency: LatencyModel | Sequence[LatencyModel | None] | None = None,
         failures: FailureModel | Sequence[FailureModel | None] | None = None,
         retry: RetryPolicy | Sequence[RetryPolicy | None] | None = None,
@@ -138,12 +198,12 @@ class GradedSourceServer(FrameServer):
     ) -> "GradedSourceServer":
         """A server exporting every list of ``db`` (exact tie order),
         plus -- for a :class:`~repro.middleware.database.ShardedDatabase`
-        with ``include_runs`` -- its per-shard run grid."""
+        -- its per-shard run grid."""
         sources = services_for_database(
             db, latency=latency, failures=failures, retry=retry, names=names
         )
         run_grid: list[list[ShardRunService]] = []
-        if include_runs and isinstance(db, ShardedDatabase):
+        if isinstance(db, ShardedDatabase):
             # the run grid carries the same (possibly per-list) models
             # as the page/random sources: every shard of list i behaves
             # like one piece of list i's service
@@ -158,67 +218,9 @@ class GradedSourceServer(FrameServer):
     async def _dispatch(self, message, conn: FrameConnection) -> dict:
         if not isinstance(message, dict):
             raise WireFormatError("request must be a message dict")
-        op = message.get("op")
-        if op == "meta":
-            return {
-                "sources": [
-                    {
-                        "name": s.name,
-                        "n": s.num_entries,
-                        "sorted": s.supports_sorted,
-                        "random": s.supports_random,
-                    }
-                    for s in self._sources
-                ],
-                "runs": [
-                    [run.num_entries for run in row]
-                    for row in self._run_grid
-                ],
-                "compression": "zlib",
-            }
-        if op == "page":
-            source = self._source(message)
-            page = await source.page(
-                int(message["start"]), int(message["count"])
-            )
-            return {
-                "objects": list(page.objects),
-                "grades": np.asarray(page.grades, dtype=np.float64),
-            }
-        if op == "random":
-            source = self._source(message)
-            ids = message["ids"]
-            if not isinstance(ids, list):
-                raise WireFormatError("'ids' must be a list")
-            grades = await source.random_access_batch(ids)
-            return {"grades": np.asarray(grades, dtype=np.float64)}
-        if op == "run_page":
-            run = self._run(message)
-            rows, grades, ties = await run.run_page(
-                int(message["start"]), int(message["count"])
-            )
-            return {"rows": rows, "grades": grades, "ties": ties}
-        if op == "ping":
+        if message.get("op") == "ping":
             return {}
-        raise WireFormatError(f"unknown op {op!r}")
-
-    def _source(self, message) -> SimulatedListService:
-        index = int(message["src"])
-        if not (0 <= index < len(self._sources)):
-            raise WireFormatError(
-                f"source index {index} out of range "
-                f"(serving {len(self._sources)})"
-            )
-        return self._sources[index]
-
-    def _run(self, message) -> ShardRunService:
-        i = int(message["list"])
-        s = int(message["shard"])
-        if not (0 <= i < len(self._run_grid)) or not (
-            0 <= s < len(self._run_grid[i])
-        ):
-            raise WireFormatError(f"run ({i}, {s}) out of range")
-        return self._run_grid[i][s]
+        return await serve_source_op(message, self._sources, self._run_grid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = self._address or (self._host, self._requested_port)
@@ -232,7 +234,6 @@ def serve_sources(
     what,
     *,
     num_shards: int | None = None,
-    include_runs: bool = True,
     latency: LatencyModel | Sequence[LatencyModel | None] | None = None,
     failures: FailureModel | Sequence[FailureModel | None] | None = None,
     retry: RetryPolicy | Sequence[RetryPolicy | None] | None = None,
@@ -250,15 +251,14 @@ def serve_sources(
     :func:`repro.services.network_services(server.address)
     <repro.services.network.network_services>`.  A
     :class:`~repro.middleware.database.ShardedDatabase` additionally
-    exports its per-shard run grid (``include_runs``); ``num_shards``
-    re-shards a flat database first.
+    exports its per-shard run grid; ``num_shards`` re-shards a flat
+    database first.
     """
     if isinstance(what, Database):
         if num_shards is not None:
             what = what.to_sharded(num_shards)
         server = GradedSourceServer.from_database(
             what,
-            include_runs=include_runs,
             latency=latency,
             failures=failures,
             retry=retry,

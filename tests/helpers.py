@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.aggregation import (
     AVERAGE,
     MAX,
@@ -27,6 +29,29 @@ from repro.core import (
     StreamCombine,
     ThresholdAlgorithm,
 )
+
+from repro.middleware import ShardedDatabase
+
+
+def write_v2_npz(db, path) -> None:
+    """Write ``db`` as a legacy v2 ``.npz`` archive -- grade matrix,
+    string ids with an int flag, per-list order arrays and, when
+    sharded, the shard layout.  The library only reads this format
+    now (``open_store``); the legacy-loading tests make their own."""
+    col = db.to_columnar()
+    ids = list(col._ids)
+    payload = {
+        "format": np.array("repro-database-npz-v2"),
+        "grades": np.asarray(col._matrix),
+        "object_ids": np.array([str(obj) for obj in ids]),
+        "int_ids": np.array([isinstance(obj, int) for obj in ids]),
+        "order_rows": np.stack(
+            [np.asarray(rows, dtype=np.int64) for rows in col._order_rows]
+        ),
+    }
+    if isinstance(db, ShardedDatabase):
+        payload["shard_bounds"] = db.shard_bounds.astype(np.int64)
+    np.savez_compressed(path, **payload)
 
 
 def all_exact_algorithms():

@@ -38,9 +38,8 @@ from repro.middleware import (
     ShardedDatabase,
     UnknownListError,
     UnknownObjectError,
-    load_npz,
-    save_npz,
 )
+from repro.store import open_store, save_store
 from repro.views import LiveView, ViewEvent
 
 
@@ -253,16 +252,16 @@ def test_sharded_insert_lands_in_last_shard():
     assert snap.num_shards == 3
 
 
-def test_npz_round_trip_after_mutations(tmp_path):
+def test_store_round_trip_after_mutations(tmp_path):
     rng = np.random.default_rng(29)
     db = MutableShardedDatabase.from_array(rng.random((20, 3)), num_shards=2)
     for step in range(15):
         db.update_grade(step % 20, step % 3, float(rng.random()))
     db.delete(4)
     db.insert("zz", (0.33, 0.44, 0.55))
-    path = tmp_path / "mutated.npz"
-    save_npz(db, path)
-    loaded = load_npz(path)
+    path = tmp_path / "mutated.store"
+    save_store(db, path)
+    loaded = open_store(path)
     assert isinstance(loaded, ShardedDatabase)
     snap = db.to_columnar()
     loaded_col = loaded.to_columnar()
@@ -476,23 +475,25 @@ class MutableParityMachine(RuleBasedStateMachine):
         self.dbs[which].compact()
 
     @rule(which=st.integers(0, 1))
-    def npz_round_trip(self, which):
+    def store_round_trip(self, which):
         import tempfile
         from pathlib import Path
 
         db = self.dbs[which]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "state.npz"
-            save_npz(db, path)
-            loaded = load_npz(path)
-        snap = db.to_columnar()
-        np.testing.assert_array_equal(
-            loaded.to_columnar()._matrix, snap._matrix
-        )
-        assert list(loaded.objects) == list(snap.objects)
-        for i in range(db.num_lists):
-            for pos in range(db.num_objects):
-                assert loaded.sorted_entry(i, pos) == db.sorted_entry(i, pos)
+            path = Path(tmp) / "state.store"
+            save_store(db, path)
+            loaded = open_store(path)
+            snap = db.to_columnar()
+            np.testing.assert_array_equal(
+                np.asarray(loaded.to_columnar()._matrix), snap._matrix
+            )
+            assert list(loaded.objects) == list(snap.objects)
+            for i in range(db.num_lists):
+                for pos in range(db.num_objects):
+                    assert loaded.sorted_entry(i, pos) == db.sorted_entry(
+                        i, pos
+                    )
 
     @invariant()
     def backends_agree_and_views_match_scratch(self):

@@ -458,9 +458,7 @@ class TestServiceObservability:
             # satellite: scheduler counters + cache snapshot in stats()
             stats = service.stats()
             assert set(stats["scheduler"]) == {"ran", "pending", "failures"}
-            assert set(stats["scheduler"]["ran"]) == {
-                "urgent", "timed", "idle"
-            }
+            assert set(stats["scheduler"]["ran"]) == {"urgent", "timed"}
             assert stats["scheduler"]["failures"] == 0
             assert stats["cache"] is not None and "scans" in stats["cache"]
 

@@ -15,7 +15,8 @@ from repro.core import (
     ThresholdAlgorithm,
     sorted_topk_without_grades,
 )
-from repro.middleware import Database, load_json, save_json
+from repro.middleware import Database
+from repro.store import open_store, save_store
 
 AGGREGATIONS = [MIN, MAX, SUM, AVERAGE]
 
@@ -117,16 +118,17 @@ class TestQuickCombineProperties:
 class TestSerializationProperties:
     @SETTINGS
     @given(databases())
-    def test_json_round_trip_identical(self, db):
+    def test_store_round_trip_identical(self, db):
+        """Adversarial tie placement survives persistence."""
         import tempfile
         from pathlib import Path
 
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "db.json"
-            save_json(db, path)
-            loaded = load_json(path)
-        assert loaded.num_objects == db.num_objects
-        assert loaded.num_lists == db.num_lists
-        for i in range(db.num_lists):
-            for p in range(db.num_objects):
-                assert loaded.sorted_entry(i, p) == db.sorted_entry(i, p)
+            path = Path(tmp) / "db.store"
+            save_store(db, path)
+            loaded = open_store(path)
+            assert loaded.num_objects == db.num_objects
+            assert loaded.num_lists == db.num_lists
+            for i in range(db.num_lists):
+                for p in range(db.num_objects):
+                    assert loaded.sorted_entry(i, p) == db.sorted_entry(i, p)

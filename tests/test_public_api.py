@@ -2,100 +2,43 @@
 importable from the documented locations."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
 
 
-TOP_LEVEL = [
-    "AVERAGE", "MAX", "MEDIAN", "MIN", "PRODUCT", "SUM",
-    "AggregationFunction", "make_aggregation",
-    "ApproximateThresholdAlgorithm", "CombinedAlgorithm", "FaginAlgorithm",
-    "IntermittentAlgorithm", "MaxAlgorithm", "NaiveAlgorithm",
-    "NoRandomAccessAlgorithm", "QuickCombine", "RestrictedSortedAccessTA",
-    "StreamCombine", "ThresholdAlgorithm", "TopKResult",
-    "AccessSession", "CostModel", "Database", "GradedSource",
-    "ListCapabilities", "ShardedDatabase", "assemble_database",
-    "MutableDatabase", "MutableColumnarDatabase", "MutableShardedDatabase",
-    "MutationEvent", "LiveView", "ViewEvent",
-    "QueryService", "QueryServiceClient", "QuerySpec",
-]
+def _api_table() -> dict[str, list[str]]:
+    """The README's "Public API" table: package -> listed exports."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Public API", 1)[1]
+    table = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`repro"):
+            table[cells[1].strip(" `")] = re.findall(r"`([^`]+)`", cells[2])
+    return table
 
-DEPRECATED_TOP_LEVEL = [
+
+API = _api_table()
+TOP_LEVEL = API["repro"]
+SUBMODULE_NAMES = {mod: names for mod, names in API.items() if mod != "repro"}
+
+#: names the package root re-exported for one deprecation cycle
+REMOVED_TOP_LEVEL = [
     "AsyncAccessSession", "LatencyModel", "SimulatedListService",
     "assemble_remote_database", "services_for_database",
     "services_for_sources",
 ]
 
-SUBMODULE_NAMES = {
-    "repro.core": [
-        "anytime_topk", "AnytimeView", "sorted_topk_without_grades",
-        "TopKBuffer", "CandidateStore", "HaltReason", "RankedItem",
-        "EarlyStopView", "QueryError",
-    ],
-    "repro.middleware": [
-        "MutableDatabase", "MutableColumnarDatabase",
-        "MutableShardedDatabase", "MutationEvent", "UnknownViewError",
-        "save_json", "load_json", "save_npz", "load_npz",
-        "WildGuessError", "CapabilityError", "DatabaseError",
-        "AccessTrace", "ScoredCollection", "ShardedDatabase",
-        "ListMergeCursor", "shard_bounds_for",
-        "WireFormatError", "connection_error_to_service_error",
-        "encode_message", "decode_message", "encode_frame",
-        "decode_frame", "QueryBudget", "ListLostError",
-        "ReplicaGroupExhaustedError",
-    ],
-    "repro.resilience": [
-        "BreakerState", "CircuitBreaker", "CircuitBreakerPolicy",
-        "ReplicaFleet", "ReplicatedGradedSource", "QueryBudget",
-        "DegradedResult", "certify", "complete_with_sorted_only",
-        "degrade_result", "finalize_certificates", "verify_against_oracle",
-    ],
-    "repro.services": [
-        "RemoteGradedSource", "SortedPage", "AsyncAccessSession",
-        "LatencyModel", "FailureModel", "RetryPolicy",
-        "SimulatedListService", "ShardRunService",
-        "services_for_database", "services_for_sources",
-        "shard_run_services", "drain_columns",
-        "assemble_remote_database", "fetch_merged_orders",
-        "network_client", "network_services", "network_shard_runs",
-    ],
-    "repro.transport": [
-        "GradedSourceServer", "serve_sources", "TransportClient",
-        "NetworkGradedSource", "NetworkRunSource", "ServerProcess",
-    ],
-    "repro.server": [
-        "Scheduler", "ScanCache", "QueryService", "QuerySpec",
-        "QueryHandle", "QueryServer", "QueryServiceClient",
-        "QueryOutcome", "ViewSnapshot", "PROTOCOL_VERSION",
-        "encode_result", "decode_result",
-    ],
-    "repro.views": [
-        "LiveView", "ViewEvent",
-    ],
-    "repro.datagen": [
-        "uniform", "permutations", "correlated", "anticorrelated",
-        "zipf_skewed", "plateau", "ratings_like", "search_scores_like",
-        "sensor_like", "example_6_3", "example_6_8", "example_7_3",
-        "example_8_3", "figure_5", "theorem_9_1_family",
-        "theorem_9_2_family", "theorem_9_5_family", "AdversarialInstance",
-        "sharded_blocks", "sharded_uniform",
-    ],
-    "repro.analysis": [
-        "minimal_certificate", "Certificate", "measured_optimality_ratio",
-        "is_correct_topk", "is_theta_approximation", "assert_result_correct",
-        "table_1", "format_table_1", "ta_upper_bound", "nra_upper_bound",
-        "run_algorithms", "format_table", "fit_power_law",
-        "optimality_sweep", "threshold_trajectory", "bound_trajectory",
-        "sparkline", "bar_chart", "render_trajectory",
-    ],
-    "repro.aggregation": [
-        "WeightedSum", "KthLargest", "Constant", "LukasiewiczTNorm",
-        "MinOfSumFirstTwo", "Example73Aggregation", "FunctionAdapter",
-        "ArityError",
-    ],
-}
+
+@pytest.mark.parametrize("module", sorted(API))
+def test_api_table_is_exactly_all(module):
+    mod = importlib.import_module(module)
+    assert len(API[module]) == len(set(API[module])), module
+    assert set(API[module]) == set(mod.__all__), module
 
 
 @pytest.mark.parametrize("name", TOP_LEVEL)
@@ -115,16 +58,15 @@ def test_submodule_export(module, name):
     assert name in mod.__all__, f"{module}.__all__ missing {name}"
 
 
-@pytest.mark.parametrize("name", DEPRECATED_TOP_LEVEL)
-def test_deprecated_alias_warns_and_resolves(name):
-    """Names demoted from the curated top level stay importable for a
-    deprecation cycle, but warn and point at their supported home."""
+@pytest.mark.parametrize("name", REMOVED_TOP_LEVEL)
+def test_removed_alias_no_longer_imports(name):
+    """The deprecation cycle is over: these import only from
+    :mod:`repro.services`."""
     import repro.services
 
-    with pytest.warns(DeprecationWarning, match="repro.services"):
-        value = getattr(repro, name)
-    assert value is getattr(repro.services, name)
-    assert name not in repro.__all__
+    with pytest.raises(ImportError):
+        exec(f"from repro import {name}", {})
+    assert hasattr(repro.services, name)
 
 
 def test_unknown_top_level_attribute_still_raises():

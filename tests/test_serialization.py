@@ -1,7 +1,8 @@
-"""Tests for database persistence (JSON with tie order; npz with the
-grade matrix, the per-list order arrays, and the shard layout) and for
-the wire codecs the transport subsystem ships between processes
-(tagged binary messages in length-prefixed frames)."""
+"""Tests for database persistence -- the v3 store written by
+``save_store`` and, read-only through ``open_store``, the legacy v1/v2
+``.npz`` archives -- and for the wire codecs the transport subsystem
+ships between processes (tagged binary messages in length-prefixed
+frames)."""
 
 import math
 import struct
@@ -17,17 +18,13 @@ from repro.core import ThresholdAlgorithm
 from repro.middleware import (
     ColumnarDatabase,
     Database,
-    DatabaseError,
     WireFormatError,
     decode_frame,
     decode_message,
     encode_frame,
     encode_message,
-    load_json,
-    load_npz,
-    save_json,
-    save_npz,
 )
+from repro.middleware.errors import StoreFormatError
 from repro.middleware.serialization import (
     FRAME_FLAG_COMPRESSED,
     FRAME_HEADER_BYTES,
@@ -36,13 +33,26 @@ from repro.middleware.serialization import (
     frame_header_info,
     frame_payload_size,
 )
+from repro.store import open_store, save_store
+
+from tests.helpers import write_v2_npz
 
 
-class TestJsonRoundTrip:
+def _store_round_trip(db, tmp_path, name="db.store"):
+    path = tmp_path / name
+    save_store(db, path)
+    return open_store(path)
+
+
+def _npz_round_trip(db, tmp_path, name="db.npz"):
+    path = tmp_path / name
+    write_v2_npz(db, path)
+    return open_store(path)
+
+
+class TestStoreRoundTrip:
     def test_grades_preserved(self, tmp_path, tiny_db):
-        path = tmp_path / "db.json"
-        save_json(tiny_db, path)
-        loaded = load_json(path)
+        loaded = _store_round_trip(tiny_db, tmp_path)
         assert loaded.num_objects == tiny_db.num_objects
         for obj in tiny_db.objects:
             assert loaded.grade_vector(obj) == tiny_db.grade_vector(obj)
@@ -50,9 +60,7 @@ class TestJsonRoundTrip:
     def test_tie_order_preserved(self, tmp_path):
         """The property the adversarial families depend on."""
         inst = datagen.example_6_3(8)
-        path = tmp_path / "fig1.json"
-        save_json(inst.database, path)
-        loaded = load_json(path)
+        loaded = _store_round_trip(inst.database, tmp_path)
         for i in range(2):
             for p in range(loaded.num_objects):
                 assert loaded.sorted_entry(i, p) == inst.database.sorted_entry(
@@ -61,27 +69,50 @@ class TestJsonRoundTrip:
 
     def test_algorithms_agree_after_round_trip(self, tmp_path):
         inst = datagen.example_6_3(10)
-        path = tmp_path / "fig1.json"
-        save_json(inst.database, path)
-        loaded = load_json(path)
+        loaded = _store_round_trip(inst.database, tmp_path)
         before = ThresholdAlgorithm().run_on(inst.database, MIN, 1)
         after = ThresholdAlgorithm().run_on(loaded, MIN, 1)
         assert before.objects == after.objects
         assert before.middleware_cost == after.middleware_cost
 
-    def test_rejects_foreign_json(self, tmp_path):
+    def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "foreign.json"
         path.write_text('{"hello": "world"}')
-        with pytest.raises(DatabaseError):
-            load_json(path)
+        with pytest.raises(StoreFormatError):
+            open_store(path)
+
+    def test_string_ids_preserved(self, tmp_path):
+        db = Database.from_rows({"alpha": (0.3,), "beta": (0.9,)})
+        loaded = _store_round_trip(db, tmp_path)
+        assert set(loaded.objects) == {"alpha", "beta"}
+
+    def test_int_ids_restored_as_ints(self, tmp_path):
+        loaded = _store_round_trip(datagen.uniform(10, 2, seed=0), tmp_path)
+        assert all(isinstance(obj, int) for obj in loaded.objects)
+
+    def test_columnar_round_trip_runs_identically(self, tmp_path):
+        _assert_ta_identical_after(_store_round_trip, tmp_path)
+
+
+def _assert_ta_identical_after(round_trip, tmp_path):
+    db = datagen.uniform(120, 3, seed=8).to_columnar()
+    loaded = round_trip(db, tmp_path)
+    before = ThresholdAlgorithm().run_on(db, AVERAGE, 7)
+    after = ThresholdAlgorithm().run_on(loaded, AVERAGE, 7)
+    assert [(it.obj, it.grade) for it in before.items] == [
+        (it.obj, it.grade) for it in after.items
+    ]
+    assert before.stats.sorted_accesses == after.stats.sorted_accesses
+    assert before.stats.random_accesses == after.stats.random_accesses
 
 
 class TestNpzRoundTrip:
+    """Legacy v2 archives (written in-test: the library no longer
+    writes them) still read back exactly through ``open_store``."""
+
     def test_grades_preserved(self, tmp_path):
         db = datagen.uniform(50, 3, seed=2)
-        path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        loaded = _npz_round_trip(db, tmp_path)
         assert loaded.num_objects == 50
         for obj in db.objects:
             assert loaded.grade_vector(obj) == pytest.approx(
@@ -90,38 +121,29 @@ class TestNpzRoundTrip:
 
     def test_string_ids_preserved(self, tmp_path):
         db = Database.from_rows({"alpha": (0.3,), "beta": (0.9,)})
-        path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        loaded = _npz_round_trip(db, tmp_path)
         assert set(loaded.objects) == {"alpha", "beta"}
 
     def test_int_ids_restored_as_ints(self, tmp_path):
-        db = datagen.uniform(10, 2, seed=0)
-        path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        loaded = _npz_round_trip(datagen.uniform(10, 2, seed=0), tmp_path)
         assert all(isinstance(obj, int) for obj in loaded.objects)
 
     def test_top_k_stable_across_round_trip(self, tmp_path):
         db = datagen.permutations(60, 2, seed=3)
-        path = tmp_path / "db.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        loaded = _npz_round_trip(db, tmp_path)
         assert [g for _, g in db.top_k(MIN, 5)] == pytest.approx(
             [g for _, g in loaded.top_k(MIN, 5)]
         )
 
 
 class TestNpzOrderArrays:
-    """The v2 format persists the per-list order arrays: reload returns
-    a ready columnar backend, skips the argsort, and preserves the exact
-    tie order (which the legacy grades-only format could not)."""
+    """The v2 archive persists the per-list order arrays: reload
+    returns a ready columnar backend, skips the argsort, and preserves
+    the exact tie order (which the grades-only v1 archive could not)."""
 
     def test_reload_is_columnar_and_tie_order_preserved(self, tmp_path):
         inst = datagen.example_6_3(10)
-        path = tmp_path / "adv.npz"
-        save_npz(inst.database, path)
-        loaded = load_npz(path)
+        loaded = _npz_round_trip(inst.database, tmp_path, "adv.npz")
         assert isinstance(loaded, ColumnarDatabase)
         for i in range(loaded.num_lists):
             for p in range(loaded.num_objects):
@@ -136,13 +158,13 @@ class TestNpzOrderArrays:
         db = datagen.uniform(80, 3, seed=6)
         columnar = db.to_columnar()
         path = tmp_path / "col.npz"
-        save_npz(columnar, path)
+        write_v2_npz(columnar, path)
 
         def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("argsort ran during load_npz")
+            raise AssertionError("argsort ran during the npz load")
 
         monkeypatch.setattr(np, "argsort", forbidden)
-        loaded = load_npz(path)
+        loaded = open_store(path)
         assert isinstance(loaded, ColumnarDatabase)
         for i in range(3):
             assert np.array_equal(
@@ -154,21 +176,12 @@ class TestNpzOrderArrays:
         assert loaded.sorted_entry(1, 0) == columnar.sorted_entry(1, 0)
 
     def test_columnar_round_trip_runs_identically(self, tmp_path):
-        db = datagen.uniform(120, 3, seed=8).to_columnar()
-        path = tmp_path / "run.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
-        before = ThresholdAlgorithm().run_on(db, AVERAGE, 7)
-        after = ThresholdAlgorithm().run_on(loaded, AVERAGE, 7)
-        assert [(it.obj, it.grade) for it in before.items] == [
-            (it.obj, it.grade) for it in after.items
-        ]
-        assert before.stats.sorted_accesses == after.stats.sorted_accesses
-        assert before.stats.random_accesses == after.stats.random_accesses
+        _assert_ta_identical_after(_npz_round_trip, tmp_path)
 
     def test_legacy_grades_only_files_still_load(self, tmp_path):
-        """Files written before the order arrays existed (grades +
-        string ids only) rebuild with the deterministic stable sort."""
+        """v1 archives, written before the order arrays existed (grades
+        + string ids only), rebuild with the deterministic stable
+        sort."""
         db = datagen.uniform(30, 2, seed=4)
         ids_sorted = sorted(db.objects, key=str)
         ids, grades = db.to_array(object_ids=ids_sorted)
@@ -179,7 +192,7 @@ class TestNpzOrderArrays:
             object_ids=np.array([str(obj) for obj in ids]),
             int_ids=np.array([isinstance(obj, int) for obj in ids]),
         )
-        loaded = load_npz(path)
+        loaded = open_store(path)
         assert loaded.num_objects == 30
         for obj in db.objects:
             assert loaded.grade_vector(obj) == pytest.approx(

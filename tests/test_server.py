@@ -114,36 +114,6 @@ def through_service(db, **service_kwargs):
 # the scheduler
 # ---------------------------------------------------------------------------
 class TestScheduler:
-    def test_urgent_runs_before_idle(self):
-        async def go():
-            ran = []
-            scheduler = Scheduler().start()
-            scheduler.add_idle(ran.append, "idle")
-            scheduler.call_soon(ran.append, "urgent-1")
-            scheduler.call_soon(ran.append, "urgent-2")
-            await asyncio.sleep(0.05)
-            await scheduler.stop()
-            return ran
-
-        ran = run_async(go())
-        assert ran[:2] == ["urgent-1", "urgent-2"]
-        assert "idle" in ran
-
-    def test_one_idle_call_per_quiet_cycle(self):
-        async def go():
-            order = []
-            scheduler = Scheduler().start()
-            for tag in ("a", "b", "c"):
-                scheduler.add_idle(order.append, f"idle-{tag}")
-            # idle steps interleave with loop turns, one per cycle
-            await asyncio.sleep(0.05)
-            await scheduler.stop()
-            return order, scheduler.ran
-
-        order, ran = run_async(go())
-        assert order == ["idle-a", "idle-b", "idle-c"]
-        assert ran["idle"] == 3
-
     def test_timed_calls_fire_in_due_order(self):
         async def go():
             order = []
@@ -156,6 +126,16 @@ class TestScheduler:
             return order
 
         assert run_async(go()) == ["now", "early", "late"]
+
+    def test_idle_started_service_sleeps(self, db):
+        """With nothing queued the scheduler sleeps until its next
+        timed call (the housekeeping sweep), so an idle service runs a
+        handful of callbacks, not a busy loop."""
+        with QueryService(database=db).start() as service:
+            before = sum(service.stats()["scheduler"]["ran"].values())
+            time.sleep(0.5)
+            after = sum(service.stats()["scheduler"]["ran"].values())
+        assert after - before < 100
 
     def test_cancelled_call_never_runs(self):
         async def go():
@@ -802,6 +782,76 @@ class TestQueryServer:
                         await client.submit_query(spec)
                     outcome = await client.stream_result(first)
                     assert outcome.bill["outcome"] == "ok"
+                finally:
+                    await client.aclose()
+
+            run_async(go())
+
+    def test_timed_out_poll_leaves_the_query_collectable(self, db):
+        """A result long-poll that times out must not consume the
+        query it waits on: a later poll still collects the result, and
+        a cancel after a timed-out poll is an ordinary cancel."""
+        from repro.services import LatencyModel
+
+        case = QueryCase("nra", "average", 3)
+        service = QueryService(
+            database=db,
+            latency=LatencyModel(base=0.05),
+            admission=AdmissionPolicy(max_active=1),
+        )
+        server = QueryServer(service)
+        with server:
+            server.start_in_thread()
+            host, port = server.address
+
+            async def go():
+                client = QueryServiceClient(host, port, request_timeout=10.0)
+
+                async def poll(query_id):
+                    reply = await client.request(
+                        {"op": "result", "query": query_id, "timeout": 0.001},
+                        service="query-service",
+                    )
+                    return reply["done"]
+
+                try:
+                    slow = await client.submit_query(case.spec())
+                    queued = await client.submit_query(case.spec())
+                    assert not await poll(slow)
+                    assert not await poll(queued)
+                    assert await client.cancel_query(queued) is True
+                    with pytest.raises(QueryCancelledError):
+                        await client.stream_result(queued)
+                    return await client.stream_result(slow)
+                finally:
+                    await client.aclose()
+
+            outcome = run_async(go())
+        assert result_signature(outcome.result) == reference_signatures(
+            db, [case]
+        )[0]
+
+    def test_caller_supplied_services_export_no_sources(self, db):
+        """Only a service built over ``database=`` exports its sources;
+        over caller-supplied services the source ops are refused with
+        a typed error frame, and ``meta`` lists no sources."""
+        from repro.middleware.errors import ServiceUnavailableError
+        from repro.services import network_client
+
+        server = QueryServer(QueryService(services_for_database(db)))
+        with server:
+            server.start_in_thread()
+            client = network_client(server.address)
+
+            async def go():
+                try:
+                    meta = await client.fetch_metadata()
+                    assert (meta["sources"], meta["runs"]) == ([], [])
+                    assert meta["m"] == db.num_lists
+                    with pytest.raises(ServiceUnavailableError):
+                        await client.request(
+                            {"op": "page", "src": 0, "start": 0, "count": 1}
+                        )
                 finally:
                     await client.aclose()
 

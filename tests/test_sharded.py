@@ -18,10 +18,9 @@ from repro.middleware import (
     ListMergeCursor,
     ShardedDatabase,
     UnknownObjectError,
-    load_npz,
-    save_npz,
     shard_bounds_for,
 )
+from repro.store import open_store, save_store
 
 
 def _random_db(n=97, m=3, seed=0, ties=False):
@@ -236,9 +235,9 @@ class TestShardedGeneration:
 class TestShardedPersistence:
     def test_round_trip_preserves_layout_and_order(self, tmp_path):
         db = _random_db(ties=True, seed=21).to_sharded(3)
-        path = tmp_path / "sharded.npz"
-        save_npz(db, path)
-        loaded = load_npz(path)
+        path = tmp_path / "sharded.store"
+        save_store(db, path)
+        loaded = open_store(path)
         assert isinstance(loaded, ShardedDatabase)
         assert loaded.num_shards == 3
         assert np.array_equal(loaded.shard_bounds, db.shard_bounds)
@@ -248,9 +247,9 @@ class TestShardedPersistence:
 
     def test_load_reshards_on_request(self, tmp_path):
         db = _random_db(seed=23)
-        path = tmp_path / "plain.npz"
-        save_npz(db, path)
-        loaded = load_npz(path, num_shards=4)
+        path = tmp_path / "plain.store"
+        save_store(db, path)
+        loaded = open_store(path).to_sharded(4)
         assert isinstance(loaded, ShardedDatabase)
         assert loaded.num_shards == 4
         result_a = ThresholdAlgorithm().run_on(db, AVERAGE, 5)
@@ -264,15 +263,15 @@ class TestShardedPersistence:
         argsort nor a merge re-sort may run on load or on sorted
         access (the merged-order cache comes back pre-filled)."""
         db = _random_db(seed=25).to_sharded(2)
-        path = tmp_path / "s.npz"
-        save_npz(db, path)
+        path = tmp_path / "s.store"
+        save_store(db, path)
 
         def forbidden(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("re-sort during sharded load")
 
         monkeypatch.setattr(np, "argsort", forbidden)
         monkeypatch.setattr(np, "lexsort", forbidden)
-        loaded = load_npz(path)
+        loaded = open_store(path)
         assert loaded.sorted_entry(0, 0) == db.sorted_entry(0, 0)
         assert all(entry is not None for entry in loaded._merged_cache)
         # the engines themselves may lexsort chunk assemblies; only the

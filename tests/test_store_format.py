@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.aggregation import AVERAGE, MIN, SUM
+from repro.core import ThresholdAlgorithm
 from repro.datagen import synthetic
 from repro.middleware.database import (
     ColumnarDatabase,
@@ -35,7 +37,6 @@ from repro.middleware.errors import (
     StoreFormatError,
     WireFormatError,
 )
-from repro.middleware.serialization import save_npz
 from repro.store import (
     STORE_MAGIC,
     STORE_VERSION,
@@ -50,6 +51,8 @@ from repro.store import (
     open_store,
     save_store,
 )
+
+from tests.helpers import write_v2_npz
 
 
 @pytest.fixture
@@ -163,7 +166,7 @@ class TestRoundTrip:
 class TestLegacyLoad:
     def test_v2_npz_loads_through_open_store(self, tmp_path, db):
         path = tmp_path / "legacy.npz"
-        save_npz(db, path)
+        write_v2_npz(db, path)
         loaded = open_store(path)
         assert isinstance(loaded, ColumnarDatabase)
         assert not isinstance(loaded, StoreBackedDatabase)
@@ -171,7 +174,7 @@ class TestLegacyLoad:
 
     def test_v2_sharded_npz_loads_through_open_store(self, tmp_path, db):
         path = tmp_path / "legacy-sharded.npz"
-        save_npz(db.to_sharded(4), path)
+        write_v2_npz(db.to_sharded(4), path)
         loaded = open_store(path)
         assert isinstance(loaded, ShardedDatabase)
         assert loaded.num_shards == 4
@@ -194,7 +197,7 @@ class TestLegacyLoad:
 
     def test_store_rewrite_of_legacy_npz_is_equivalent(self, tmp_path, db):
         npz = tmp_path / "old.npz"
-        save_npz(db, npz)
+        write_v2_npz(db, npz)
         legacy = open_store(npz)
         rewritten = tmp_path / "new.store"
         save_store(legacy, rewritten)
@@ -401,6 +404,83 @@ class TestWriterDiscipline:
         w.close()  # idempotent
         w.abort()  # no-op: the finalised file stays
         assert (tmp_path / "other.store").exists()
+
+    def test_failed_resave_leaves_the_existing_store(self, tmp_path, db):
+        path = _store(tmp_path, db)
+        with pytest.raises(RuntimeError, match="boom"):
+            with StoreWriter(path, 16, 1) as w:
+                w.write("grades", np.zeros((16, 1)))
+                raise RuntimeError("boom")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.store"]
+        assert open_store(path).top_k(MIN, 5) == db.top_k(MIN, 5)
+
+    def test_resave_under_a_live_reader_keeps_the_old_store(self, tmp_path):
+        """A child process queries a store, paging through a cache far
+        smaller than the data, while the parent re-saves that path
+        three times with other contents.  The writer renames a
+        complete file over the path, and the reader maps every segment
+        -- including the ones it first touches after the re-saves --
+        from the file it opened, so the child keeps reading the old
+        store: same answers, clean exit -- no SIGBUS from a truncated
+        mapping, no mix of old and new pages."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "live.store"
+        stop = tmp_path / "stop"
+        old = synthetic.uniform(4000, 3, seed=1)
+        save_store(old, path)
+        with subprocess.Popen(
+            [sys.executable, "-c", _LIVE_READER, str(path), str(stop)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parent.parent),
+            },
+        ) as child:
+            try:
+                assert child.stdout is not None
+                ready = child.stdout.readline()
+                for seed in (2, 3, 4):
+                    save_store(
+                        synthetic.uniform(4000 + seed, 3, seed=seed), path
+                    )
+                stop.touch()
+                last = child.stdout.readline()
+                assert child.wait(timeout=60) == 0
+            finally:
+                child.kill()
+        col = old.to_columnar()
+        ta = ThresholdAlgorithm().run_on(col, AVERAGE, 5)
+        assert ready.strip() == repr(col.top_k(AVERAGE, 5))
+        assert last.strip() == repr(
+            (col.top_k(AVERAGE, 5), [(i.obj, i.grade) for i in ta.items])
+        )
+
+
+#: the live reader of test_resave_under_a_live_reader_keeps_the_old_store:
+#: re-reads the grades (mapped before the re-saves) until the stop file
+#: exists, exiting 3 if the answer changes, then runs TA, whose first
+#: touch of lists 1 and 2 maps them after the re-saves
+_LIVE_READER = """
+import os, sys
+from repro.aggregation import AVERAGE
+from repro.core import ThresholdAlgorithm
+from repro.store import open_store
+
+db = open_store(sys.argv[1], cache_bytes=16 * 1024, page_rows=128)
+first = db.top_k(AVERAGE, 5)
+print(repr(first), flush=True)
+while not os.path.exists(sys.argv[2]):
+    if db.top_k(AVERAGE, 5) != first:
+        sys.exit(3)
+ta = ThresholdAlgorithm().run_on(db, AVERAGE, 5)
+print(repr((db.top_k(AVERAGE, 5), [(i.obj, i.grade) for i in ta.items])))
+"""
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from repro.services import (
     services_for_database,
 )
 from repro.middleware.sources import GradedSource
+from repro.server import QueryService, QueryServiceClient, QuerySpec
 from repro.transport import (
     GradedSourceServer,
     ServerProcess,
@@ -365,6 +366,42 @@ class TestSubprocessDifferential:
             )
             assert np.array_equal(merged[i][0], sequential[i][0])
             assert np.array_equal(merged[i][1], sequential[i][1])
+
+    def test_one_daemon_serves_sources_and_queries(self, subprocess_setup):
+        """The spawned daemon answers both roles on one port: the
+        source ops (a drain through ``network_services``) and whole
+        queries (``QueryServiceClient``), each bit-identical to the
+        in-process run."""
+        db, server = subprocess_setup
+        remote_db, _ = assemble_remote_database(
+            network_services(server.address), batch_size=5
+        )
+        simulated, _ = assemble_remote_database(
+            services_for_database(db), batch_size=5
+        )
+        for i in range(db.num_lists):
+            for pos in range(db.num_objects):
+                assert remote_db.sorted_entry(i, pos) == simulated.sorted_entry(
+                    i, pos
+                )
+        specs = [
+            QuerySpec(algorithm=name, aggregation="min", k=3)
+            for name in ("ta", "nra", "ca")
+        ]
+
+        async def remote():
+            client = QueryServiceClient(*server.address)
+            try:
+                return await client.run_queries(specs)
+            finally:
+                await client.aclose()
+
+        outcomes = asyncio.run(remote())
+        with QueryService(database=db).start() as service:
+            embedded = [service.submit(spec).result(30) for spec in specs]
+        assert [result_signature(o.result) for o in outcomes] == [
+            result_signature(r) for r in embedded
+        ]
 
     def test_server_side_latency_overlaps(self, subprocess_setup):
         """Probes to different subprocess-served sources overlap their
