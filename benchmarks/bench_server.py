@@ -4,8 +4,11 @@ two arms of the same service.
 ``server`` runs
     ``Q`` concurrent NRA queries (mixed ``k`` and aggregation, all over
     the same sorted lists) through an embedded
-    :class:`~repro.server.service.QueryService` whose simulated sources
-    carry a per-page service time -- the paper's autonomous subsystems.
+    :class:`~repro.server.service.QueryService` built over
+    ``services=services_for_database(db, latency=...)``: simulated
+    sources with a per-page service time -- the paper's autonomous
+    subsystems.  (A ``database=`` service would run the columnar
+    engines on the database directly, with no scans to share.)
     The *shared* arm (``share_scans=True``, the default) runs them
     through the :class:`~repro.server.scancache.ScanCache`: one sorted
     cursor per list, each page fetched once, every attached query
@@ -44,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.middleware.cost import AdmissionPolicy  # noqa: E402
 from repro.middleware.database import Database  # noqa: E402
 from repro.server import QueryService, QuerySpec  # noqa: E402
-from repro.services import LatencyModel  # noqa: E402
+from repro.services import LatencyModel, services_for_database  # noqa: E402
 
 SEED = 20260808
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_server.json"
@@ -117,8 +120,7 @@ def _arm(
     kept = None
     for _ in range(repeats):
         service = QueryService(
-            database=db,
-            latency=LatencyModel(base=latency),
+            services_for_database(db, latency=LatencyModel(base=latency)),
             admission=AdmissionPolicy(
                 max_active=max_active, max_queued=len(specs) + 8
             ),

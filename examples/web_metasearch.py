@@ -24,7 +24,8 @@ repro.server --store``, the same process that serves whole queries)
 over the real wire protocol (every page crosses a TCP socket; the
 latency model runs server-side), and the queries run unchanged.
 
-With ``--server`` the engines sit behind an embedded
+With ``--server`` the engines, as simulated remote services with a
+per-page latency, sit behind an embedded
 :class:`~repro.server.service.QueryService`: a batch of concurrent
 metasearch queries (mixed ``k`` and aggregation) runs through one
 shared scan per engine, every result stays bit-identical to a solo
@@ -86,6 +87,7 @@ from repro.services import (
     AsyncAccessSession,
     LatencyModel,
     network_services,
+    services_for_database,
     services_for_sources,
 )
 from repro.transport import ServerProcess
@@ -165,9 +167,13 @@ def server_demo(engines) -> None:
             ("average", 8), ("sum", 5), ("min", 8), ("sum", 10),
         ]
     ]
+    # the engines are remote services with a per-page latency, so the
+    # queries go through the scan cache (a local database= service
+    # would run the columnar engines on it directly, sharing nothing)
     service = QueryService(
-        database=engine_db,
-        latency=LatencyModel(base=0.002, jitter=0.001, seed=7),
+        services_for_database(
+            engine_db, latency=LatencyModel(base=0.002, jitter=0.001, seed=7)
+        ),
         admission=AdmissionPolicy(max_active=4),
         batch_size=64,
     )

@@ -531,6 +531,37 @@ class ColumnarDatabase(Database):
         mutations."""
         return self
 
+    def _project(self, lists: Sequence[int]) -> "ColumnarDatabase":
+        """Lists ``lists`` of this database, in that order, as a
+        read-only columnar database whose list ``j`` is this one's list
+        ``lists[j]`` -- what a query over ``QuerySpec.lists`` reads.
+
+        The projection shares the id interning and the per-list order
+        arrays (no re-sort, so tie placement is exactly the parent's);
+        only the grade matrix is narrowed: an in-RAM column copy, or a
+        column-subset view for a paged store matrix (no O(N*m) read).
+        The full list set in order is the database itself."""
+        lists = [int(i) for i in lists]
+        for i in lists:
+            self._check_list(i)
+        if lists == list(range(self._m)):
+            return self
+        view = ColumnarDatabase.__new__(ColumnarDatabase)
+        matrix = self._matrix
+        view._matrix = (
+            matrix[:, lists]
+            if isinstance(matrix, np.ndarray)
+            else matrix.columns(lists)
+        )
+        view._ids = self._ids
+        view._row_of = self._row_of
+        view._trivial_ids = self._trivial_ids
+        view._m = len(lists)
+        view._position0_rows = None
+        view._order_rows = [self._order_rows[i] for i in lists]
+        view._order_grades = [self._order_grades[i] for i in lists]
+        return view
+
     # ------------------------------------------------------------------
     # scalar-backend compatibility (lazy; only built if legacy internals
     # are reached, e.g. by code written against the dict representation)

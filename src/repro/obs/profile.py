@@ -183,8 +183,12 @@ class QueryProbe:
         """Seal the profile.  Accesses charged since the last round
         boundary (TA-style final resolution, certificate finalization)
         become a ``final`` residual entry, so the profile's totals match
-        the session's accounting exactly by construction."""
+        the session's accounting exactly by construction.  A sealed
+        probe lets go of its session (its totals are all recorded), and
+        sealing it again is a no-op."""
         session = self._session
+        if session is None:
+            return
         if (
             int(session.sorted_accesses) != self._last_sorted
             or int(session.random_accesses) != self._last_random
@@ -192,6 +196,7 @@ class QueryProbe:
         ):
             self._record("final", self._last_round, None, None, None, None)
         self.halt_reason = None if halt_reason is None else str(halt_reason)
+        self._session = None
 
     # ------------------------------------------------------------------
     # totals: cumulative, hence exactly the session's accounting

@@ -10,24 +10,25 @@ out-of-core through the memory-mapped v3 store and its LRU page cache,
 sized by ``--store-cache-mb`` / ``--store-page-rows`` (the cache's
 hit/miss/eviction counters ride the obs plane and the ``stats`` wire
 op's ``store`` key); a legacy v1/v2 ``.npz`` archive is recognised
-and loaded into RAM instead.  It builds one simulated service per
-list -- plus the per-shard run grid when the store is sharded --
-optionally behind a seeded server-side latency model, mounts a
-:class:`~repro.server.service.QueryService` on a
+and loaded into RAM instead.  It mounts a
+:class:`~repro.server.service.QueryService` over that database on a
 :class:`~repro.server.wire.QueryServer`, binds, prints one readiness
 line ``LISTENING <host> <port>`` (flushed), and serves until killed.
 
-Clients reach the same port two ways: as the paper's sorted lists
-(the ``meta``/``page``/``random``/``run_page`` source ops --
+Clients reach the same port two ways: as the middleware (whole
+queries -- :class:`~repro.server.QueryServiceClient`), which run the
+columnar engines directly on the database, or as the paper's sorted
+lists (the ``meta``/``page``/``random``/``run_page`` source ops --
 :func:`~repro.services.network.network_services`,
-:func:`~repro.services.network.network_shard_runs`), or as the
-middleware (whole queries -- :class:`~repro.server.QueryServiceClient`).
-SIGTERM is graceful: stop accepting, drain in-flight requests
-(bounded by ``--drain-timeout``), tear down the service, exit 0.
+:func:`~repro.services.network.network_shard_runs`), served by one
+simulated source per list plus the per-shard run grid when the store
+is sharded, built on first use.  ``--latency`` / ``--jitter`` /
+``--latency-seed`` give those source ops a seeded server-side latency
+model; queries never pay it.  SIGTERM is graceful: stop accepting,
+drain in-flight requests (bounded by ``--drain-timeout``), tear down
+the service, exit 0.
 
-``--max-active`` / ``--max-queued`` set the admission policy;
-``--no-share-scans`` turns the scan cache into the benchmark's
-private-scan control arm.
+``--max-active`` / ``--max-queued`` set the admission policy.
 
 The daemon carries an :class:`~repro.obs.Observability` plane by
 default (``--no-obs`` drops it): the ``metrics`` wire op serves the
@@ -92,9 +93,6 @@ def build_server(args: argparse.Namespace) -> QueryServer:
             max_queued=args.max_queued,
             default_deadline_s=args.default_deadline,
         ),
-        share_scans=not args.no_share_scans,
-        batch_size=args.batch_size,
-        readahead_pages=args.readahead_pages,
     )
     return QueryServer(
         service,
@@ -178,32 +176,24 @@ def main(argv: list[str] | None = None) -> int:
         help="default per-query wall-clock budget, seconds",
     )
     parser.add_argument(
-        "--no-share-scans",
-        action="store_true",
-        help="private sorted cursors per query (the benchmark control)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=64, help="scan page size"
-    )
-    parser.add_argument(
-        "--readahead-pages",
-        type=int,
-        default=2,
-        help="pages the shared fetcher keeps ahead of demand",
-    )
-    parser.add_argument(
         "--latency",
         type=float,
         default=0.0,
-        help="server-side per-call latency base, seconds",
+        help="per-call latency base of the served source ops, seconds "
+        "(queries do not pay it)",
     )
     parser.add_argument(
         "--jitter",
         type=float,
         default=0.0,
-        help="server-side per-call latency jitter, seconds",
+        help="per-call latency jitter of the served source ops, seconds",
     )
-    parser.add_argument("--latency-seed", type=int, default=0)
+    parser.add_argument(
+        "--latency-seed",
+        type=int,
+        default=0,
+        help="seed of the source-op latency model's jitter",
+    )
     parser.add_argument(
         "--max-concurrent",
         type=int,

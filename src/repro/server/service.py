@@ -12,15 +12,25 @@ cooperatively on a single asyncio loop.  The moving parts:
   housekeeping (forgetting collected queries) is a timed call every
   ``sweep_after`` seconds, so bookkeeping can never delay a query
   start and an idle service sleeps.
-* **Scan sharing** (:class:`~repro.server.scancache.ScanCache`):
-  concurrent queries over the same lists read one underlying sorted
-  cursor per list.  Charging is untouched -- each query's
-  :class:`~repro.services.session.SharedScanSession` charges exactly
-  the prefix *it* consumed.
 * **Engine execution**: the paper's synchronous engines run unmodified
   via :meth:`~repro.core.base.TopKAlgorithm.run_on_loop` on a worker
   pool of ``max_active`` threads; the loop stays free to admit, feed
-  scans, serve random accesses, and cancel.
+  scans, serve random accesses, and cancel.  Over a local
+  ``database=`` each query gets a plain, cancellable
+  :class:`~repro.middleware.access.AccessSession` on the database's
+  columnar snapshot projected onto the query's lists, so the chunked
+  columnar engines run directly on the worker -- no simulated services
+  and no scan cache.
+* **Scan sharing** (:class:`~repro.server.scancache.ScanCache`), for
+  caller-supplied ``services=``: concurrent queries over the same
+  lists read one underlying sorted cursor per list.  Charging is
+  untouched -- each query's
+  :class:`~repro.services.session.SharedScanSession` charges exactly
+  the prefix *it* consumed.
+* **Exported sources**: a ``database=`` service also serves its lists
+  as simulated sources over the wire (the ``page``/``random``/
+  ``run_page`` ops), built on the first such op after the database
+  changed and carrying the ``latency``/``failures``/``retry`` models.
 * **Billing** (:class:`~repro.middleware.cost.BillingLedger`): every
   terminal query -- completed, failed, or cancelled -- posts a
   :class:`~repro.middleware.cost.QueryBill`; the paper's middleware
@@ -61,6 +71,7 @@ from ..core import (
     TopKResult,
 )
 from ..core.base import QueryError
+from ..middleware.access import AccessSession
 from ..middleware.cost import (
     AdmissionPolicy,
     BillingLedger,
@@ -68,7 +79,7 @@ from ..middleware.cost import (
     QueryBill,
     QueryBudget,
 )
-from ..middleware.database import Database, ShardedDatabase
+from ..middleware.database import ColumnarDatabase, Database, ShardedDatabase
 from ..middleware.errors import (
     AdmissionError,
     DatabaseError,
@@ -291,7 +302,8 @@ class _QueryState:
         self.budget = budget
         self.future: concurrent.futures.Future = concurrent.futures.Future()
         self.status = QueryStatus.QUEUED
-        self.session: SharedScanSession | None = None
+        #: the running query's session; dropped once the bill is posted
+        self.session: _DirectSession | SharedScanSession | None = None
         self.cancel_requested = False
         self.submitted_at = time.monotonic()
         self.finished_at: float | None = None
@@ -301,6 +313,49 @@ class _QueryState:
         #: service runs without an observability plane)
         self.trace = None
         self.probe = None
+
+
+class _DirectSession(AccessSession):
+    """A plain :class:`~repro.middleware.access.AccessSession` that
+    :meth:`cancel` stops at its next charged access: the cancelled
+    query raises :class:`QueryCancelledError` before anything more is
+    charged, as a :class:`~repro.services.session.SharedScanSession`
+    does, so its bill is exactly the prefix it had consumed."""
+
+    def __init__(self, database: Database, query_id: str, **kwargs):
+        super().__init__(database, **kwargs)
+        self._query_id = query_id
+        self._cancelled = False
+
+    def cancel(self) -> None:
+        self._cancelled = True
+
+    def close(self) -> None:
+        pass
+
+    def _check_open(self) -> None:
+        if self._cancelled:
+            raise QueryCancelledError(self._query_id)
+
+    def sorted_access(self, list_index: int):
+        self._check_open()
+        return super().sorted_access(list_index)
+
+    def random_access(self, list_index: int, obj) -> float:
+        self._check_open()
+        return super().random_access(list_index, obj)
+
+    def sorted_access_batch(self, list_index: int, n: int):
+        self._check_open()
+        return super().sorted_access_batch(list_index, n)
+
+    def sorted_access_round(self):
+        self._check_open()
+        return super().sorted_access_round()
+
+    def random_access_batch(self, list_index: int, objects, rows=None):
+        self._check_open()
+        return super().random_access_batch(list_index, objects, rows)
 
 
 class _ViewState:
@@ -398,23 +453,29 @@ class QueryService:
     ----------
     services:
         The ``m`` backing :class:`~repro.services.protocol.RemoteGradedSource`
-        objects, in list order; or pass ``database`` (plus optional
-        ``latency``/``failures``/``retry`` models) to build simulated
-        services over it.
+        objects, in list order, queried through the scan cache.
+    database:
+        Or a local database: queries run the columnar engines on it
+        directly, and it is exported over the wire as simulated
+        sources carrying the optional ``latency``/``failures``/
+        ``retry`` models (which configure those sources only).
     admission:
         :class:`~repro.middleware.cost.AdmissionPolicy`; defaults to 4
         active / 256 queued / no default budget.
     share_scans:
-        ``True`` (default): concurrent queries share one sorted cursor
-        per list through the :class:`~repro.server.scancache.ScanCache`.
-        ``False``: every query gets private scans (identical machinery;
-        the benchmark's control arm).
+        ``services=`` only.  ``True`` (default): concurrent queries
+        share one sorted cursor per list through the
+        :class:`~repro.server.scancache.ScanCache`.  ``False``: every
+        query gets private scans (identical machinery; the benchmark's
+        control arm).
     batch_size, readahead_pages:
-        Scan paging: page size of the shared cursors and how many pages
-        the fetcher keeps ahead of the deepest consumer.
+        ``services=`` only.  Scan paging: page size of the shared
+        cursors and how many pages the fetcher keeps ahead of the
+        deepest consumer.
     wait_timeout:
         Deadlock net for worker threads blocked on a scan frontier or a
-        random-access bridge.
+        random-access bridge, and for a mutation waiting on the queries
+        it drains.
     sweep_after:
         Seconds between housekeeping sweeps; a collected terminal query
         lingers at least this long before a sweep forgets it.
@@ -449,15 +510,23 @@ class QueryService:
             raise DatabaseError(
                 "pass exactly one of services= or database="
             )
-        # retained for the mutation plane: services snapshot the
-        # database at construction, so after a mutation the service
-        # rebuilds them (and the scan cache) from the live database
         self._database = database
         self._source_models = (latency, failures, retry)
+        #: ``database=``: the exported sources and the database version
+        #: they were built at (built on demand, see :attr:`sources`)
+        self._exported: tuple[
+            list[RemoteGradedSource], list[list[ShardRunService]]
+        ] | None = None
+        self._exported_version: int | None = None
         self._services: list[RemoteGradedSource] = []
-        self._run_grid: list[list[ShardRunService]] = []
+        self._num_objects = 0
         if database is not None:
-            self._build_sources()
+            # a scalar database is immutable: convert it once
+            self._columnar: ColumnarDatabase | None = (
+                database
+                if isinstance(database, ColumnarDatabase)
+                else database.to_columnar()
+            )
         elif latency is not None or failures is not None or retry is not None:
             raise DatabaseError(
                 "latency/failures/retry only apply with database=; "
@@ -465,15 +534,16 @@ class QueryService:
             )
         else:
             assert services is not None
+            self._columnar = None
             self._services = list(services)
-        if not self._services:
-            raise DatabaseError("need at least one service")
-        sizes = {int(s.num_entries) for s in self._services}
-        if len(sizes) != 1:
-            raise DatabaseError(
-                f"services disagree on N: {sorted(sizes)}"
-            )
-        self._num_objects = sizes.pop()
+            if not self._services:
+                raise DatabaseError("need at least one service")
+            sizes = {int(s.num_entries) for s in self._services}
+            if len(sizes) != 1:
+                raise DatabaseError(
+                    f"services disagree on N: {sorted(sizes)}"
+                )
+            self._num_objects = sizes.pop()
         self._admission = admission or AdmissionPolicy()
         self._share_scans = share_scans
         self._batch_size = batch_size
@@ -582,10 +652,14 @@ class QueryService:
     # ------------------------------------------------------------------
     @property
     def num_lists(self) -> int:
+        if self._database is not None:
+            return self._database.num_lists
         return len(self._services)
 
     @property
     def num_objects(self) -> int:
+        if self._database is not None:
+            return self._database.num_objects
         return self._num_objects
 
     @property
@@ -597,12 +671,51 @@ class QueryService:
         self,
     ) -> tuple[list[RemoteGradedSource], list[list[ShardRunService]]]:
         """The per-list sources and ``[list][shard]`` run grid this
-        service exports over the wire: the ones it built over
-        ``database=`` (the grid is empty unless the database is
-        sharded), and none for caller-supplied ``services=``."""
-        if self._database is None:
+        service exports over the wire: simulated sources over
+        ``database=`` carrying the service's latency/failure/retry
+        models (the grid is empty unless the database is sharded), and
+        none for caller-supplied ``services=``.
+
+        Sources snapshot the lists they serve, so they are built here,
+        on first use after the database changed -- queries never need
+        them, and a write never pays for them."""
+        db = self._database
+        if db is None:
             return [], []
-        return self._services, self._run_grid
+        version = self.mutable.version if self.mutable is not None else 0
+        if self._exported is None or self._exported_version != version:
+            latency, failures, retry = self._source_models
+            models = {"latency": latency, "failures": failures, "retry": retry}
+            self._exported = (
+                list(services_for_database(db, **models)),
+                shard_run_services(db, **models)
+                if isinstance(db, ShardedDatabase)
+                else [],
+            )
+            self._exported_version = version
+        return self._exported
+
+    def source_meta(self) -> tuple[list[dict], list[list[int]]]:
+        """The ``sources`` and ``runs`` entries of the ``meta`` wire op
+        for :attr:`sources`, read off the database without building
+        them."""
+        db = self._database
+        if db is None:
+            return [], []
+        n = db.num_objects
+        sources = [
+            {"name": f"list-{i}", "n": n, "sorted": True, "random": True}
+            for i in range(db.num_lists)
+        ]
+        runs = (
+            [
+                [len(run[0]) for run in db.list_runs(i)]
+                for i in range(db.num_lists)
+            ]
+            if isinstance(db, ShardedDatabase)
+            else []
+        )
+        return sources, runs
 
     @property
     def database(self) -> Database | None:
@@ -627,7 +740,8 @@ class QueryService:
 
     @property
     def scan_cache(self) -> ScanCache | None:
-        """The scan cache (``None`` before start)."""
+        """The scan cache of a ``services=`` service (``None`` before
+        start, and always for ``database=``)."""
         return self._cache
 
     @property
@@ -691,14 +805,18 @@ class QueryService:
             "queued": len(self._queue),
             "active": len(self._active),
             "tracked": len(self._queries),
-            "share_scans": self._share_scans,
+            "share_scans": self._database is None and self._share_scans,
             "views": len(self._views),
             "mutable": self.mutable is not None,
             "version": (
                 self.mutable.version if self.mutable is not None else None
             ),
             "ledger": self._ledger.totals(),
-            "cache": self._cache.stats() if self._cache else None,
+            "cache": (
+                self._cache.stats()
+                if self._cache is not None
+                else {"shared": False, "scans": []}
+            ),
             "store": (
                 self._database.store_snapshot()
                 if hasattr(self._database, "store_snapshot")
@@ -716,16 +834,17 @@ class QueryService:
     # ------------------------------------------------------------------
     async def astart(self) -> "QueryService":
         """Arm the service on the *running* loop (idempotent)."""
-        if self._cache is not None:
+        if self._loop is not None:
             return self
         self._loop = asyncio.get_running_loop()
-        self._cache = ScanCache(
-            self._services,
-            self._loop,
-            batch_size=self._batch_size,
-            readahead_pages=self._readahead_pages,
-            shared=self._share_scans,
-        )
+        if self._database is None:
+            self._cache = ScanCache(
+                self._services,
+                self._loop,
+                batch_size=self._batch_size,
+                readahead_pages=self._readahead_pages,
+                shared=self._share_scans,
+            )
         self._scheduler.start()
         self._scheduler.call_later(self._sweep_after, self._sweep)
         return self
@@ -933,18 +1052,34 @@ class QueryService:
         assert self._loop is not None
         self._loop.create_task(self._run_query(state))
 
-    async def _run_query(self, state: _QueryState) -> None:
-        assert self._cache is not None
-        session: SharedScanSession | None = None
-        try:
-            session = self._cache.checkout(
-                state.lists,
-                query_id=state.query_id,
-                cost_model=state.spec.cost_model(),
-                forbid_wild_guesses=state.spec.forbid_wild_guesses,
+    def _open_session(
+        self, state: _QueryState
+    ) -> _DirectSession | SharedScanSession:
+        """The query's session: a direct one on the columnar snapshot
+        projected onto its lists, or a scan-cache checkout."""
+        spec = state.spec
+        if self._columnar is not None:
+            return _DirectSession(
+                self._columnar._speculation_store()._project(state.lists),
+                state.query_id,
+                cost_model=spec.cost_model(),
+                forbid_wild_guesses=spec.forbid_wild_guesses,
                 budget=state.budget,
-                wait_timeout=self._wait_timeout,
             )
+        assert self._cache is not None
+        return self._cache.checkout(
+            state.lists,
+            query_id=state.query_id,
+            cost_model=spec.cost_model(),
+            forbid_wild_guesses=spec.forbid_wild_guesses,
+            budget=state.budget,
+            wait_timeout=self._wait_timeout,
+        )
+
+    async def _run_query(self, state: _QueryState) -> None:
+        session: _DirectSession | SharedScanSession | None = None
+        try:
+            session = self._open_session(state)
             state.session = session
             if state.trace is not None:
                 assert self._obs is not None
@@ -973,12 +1108,17 @@ class QueryService:
                 session.close()
             self._active.discard(state.query_id)
             self._m_active.set(len(self._active))
+            cache = getattr(self._database, "page_cache", None)
+            if not self._active and cache is not None and cache.mapped_bytes:
+                # between queries: a store's page cache keeps its
+                # copies, so the mapped file pages are handed back
+                cache.release_mappings()
             self._scheduler.call_soon(self._admit_more)
 
     def _finish(
         self,
         state: _QueryState,
-        session: SharedScanSession | None,
+        session: AccessSession | None,
         outcome: str,
         result: TopKResult | None,
         exc: BaseException | None,
@@ -1002,6 +1142,11 @@ class QueryService:
         )
         self._ledger.post(bill)
         state.bill = bill
+        # the bill is posted: a finished query keeps no session (nor,
+        # through a sealed probe, any of its seen-object state)
+        state.session = None
+        if state.probe is not None:
+            state.probe.finish(bill.halt_reason)
         self._m_outcomes[outcome].inc()
         self._m_duration.observe(bill.wall_seconds)
         self._m_cost.observe(bill.middleware_cost)
@@ -1033,6 +1178,10 @@ class QueryService:
                 else QueryStatus.ERROR
             )
             assert exc is not None
+            if outcome == "cancelled":
+                # raised inside the access plane: its traceback would
+                # keep the session's frames alive as long as the future
+                exc = exc.with_traceback(None)
             state.future.set_exception(exc)
 
     def _cancel_on_loop(self, query_id: str) -> bool:
@@ -1218,9 +1367,9 @@ class QueryService:
         (with ``list_index`` + ``grade``) or ``"delete"``.  The write
         is serialised against query execution: admission pauses, the
         active set drains, the mutation applies (standing views update
-        synchronously here, firing their deltas), then the backing
-        sources and the scan cache are rebuilt so subsequent queries
-        read the new contents.  Returns ``{"version", "n"}``.
+        synchronously here, firing their deltas), and subsequent
+        queries read the new contents (the exported sources follow on
+        their next use).  Returns ``{"version", "n"}``.
         """
         db = self._require_mutable()
         if self._draining:
@@ -1257,43 +1406,11 @@ class QueryService:
                     f"unknown mutation action {action!r}; "
                     "known: insert, update, delete"
                 )
-            await self._rebuild_sources()
             self._m_mutations[action].inc()
             return {"version": db.version, "n": db.num_objects}
         finally:
             self._mutations_pending -= 1
             self._scheduler.call_soon(self._admit_more)
-
-    async def _rebuild_sources(self) -> None:
-        """Re-derive the service plane from the (mutated) database:
-        the simulated sources snapshot their list contents at
-        construction, and the scan cache holds shared sorted prefixes
-        of the old order, so both are rebuilt."""
-        self._build_sources()
-        self._num_objects = int(self._services[0].num_entries)
-        if self._cache is not None:
-            await self._cache.aclose()
-            self._cache = ScanCache(
-                self._services,
-                self._require_loop(),
-                batch_size=self._batch_size,
-                readahead_pages=self._readahead_pages,
-                shared=self._share_scans,
-            )
-
-    def _build_sources(self) -> None:
-        """Build one simulated source per list of the database -- and,
-        when it is sharded, the per-shard run grid -- carrying the
-        service's latency/failure/retry models."""
-        assert self._database is not None
-        latency, failures, retry = self._source_models
-        models = {"latency": latency, "failures": failures, "retry": retry}
-        self._services = list(services_for_database(self._database, **models))
-        self._run_grid = (
-            shard_run_services(self._database, **models)
-            if isinstance(self._database, ShardedDatabase)
-            else []
-        )
 
     # -- thread-safe wrappers ------------------------------------------
     def subscribe(self, spec: QuerySpec) -> dict:

@@ -25,9 +25,12 @@ uses for raw source reads.  Ops:
 ``page`` / ``random`` / ``run_page``
     The source ops of :mod:`repro.transport.server`, answered by the
     same :func:`~repro.transport.server.serve_source_op` over the
-    sources the service built for ``database=`` -- so one daemon
-    serves both the lists (``network_services``) and the queries, and
-    ``meta`` carries the union of both key sets.  A service over
+    sources a ``database=`` service exports
+    (:attr:`~repro.server.service.QueryService.sources`, built on the
+    first such op after the database changed) -- so one daemon serves
+    both the lists (``network_services``) and the queries, and
+    ``meta`` carries the union of both key sets (read off the
+    database: ``meta`` builds no sources).  A service over
     caller-supplied ``services=`` exports no sources: ``meta`` lists
     none, and the source ops fail with ``error="unavailable"``.
 ``subscribe`` / ``view_events`` / ``unsubscribe`` / ``mutate``
@@ -294,9 +297,9 @@ class QueryServer(FrameServer):
         raise WireFormatError(f"unknown op {op!r}")
 
     async def _source_op(self, message) -> dict:
-        sources, run_grid = self._service.sources
         if message["op"] == "meta":
-            reply = await serve_source_op(message, sources, run_grid)
+            reply = await serve_source_op(message, [], [])
+            reply["sources"], reply["runs"] = self._service.source_meta()
             reply.update(
                 m=self._service.num_lists,
                 n=self._service.num_objects,
@@ -306,6 +309,7 @@ class QueryServer(FrameServer):
                 mutable=self._service.mutable is not None,
             )
             return reply
+        sources, run_grid = self._service.sources
         if not sources:
             raise ServiceUnavailableError(
                 "this query service runs over caller-supplied services "

@@ -425,10 +425,12 @@ class PagedMatrix:
     ``tolist`` for verification code.  An optional row window
     ``[row_lo, row_hi)`` presents a shard's contiguous block with
     local row indexing (the store twin of
-    ``ShardedDatabase._shard_matrices``).
+    ``ShardedDatabase._shard_matrices``), and an optional column subset
+    presents a list projection: column ``j`` reads stored column
+    ``cols[j]``, and gathers copy only those columns out of the pages.
     """
 
-    __slots__ = ("_segment", "_cache", "_row_lo", "_row_hi", "_m")
+    __slots__ = ("_segment", "_cache", "_row_lo", "_row_hi", "_cols", "_m")
 
     def __init__(
         self,
@@ -436,12 +438,18 @@ class PagedMatrix:
         cache: LRUPageCache,
         row_lo: int = 0,
         row_hi: int | None = None,
+        cols: np.ndarray | None = None,
     ):
         self._segment = segment
         self._cache = cache
         self._row_lo = row_lo
         self._row_hi = segment.rows if row_hi is None else row_hi
-        self._m = int(segment.reader.segments[segment.name].shape[1])
+        self._cols = cols
+        self._m = (
+            int(segment.reader.segments[segment.name].shape[1])
+            if cols is None
+            else len(cols)
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -461,7 +469,25 @@ class PagedMatrix:
     def window(self, row_lo: int, row_hi: int) -> "PagedMatrix":
         """A view of global rows ``[row_lo, row_hi)`` with local
         indexing (shares this matrix's segment and cache)."""
-        return PagedMatrix(self._segment, self._cache, row_lo, row_hi)
+        return PagedMatrix(
+            self._segment, self._cache, row_lo, row_hi, self._cols
+        )
+
+    def columns(self, cols) -> "PagedMatrix":
+        """A view whose column ``j`` is this matrix's column
+        ``cols[j]`` (shares the segment, cache and row window)."""
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.ndim != 1 or (
+            cols.size and (cols.min() < 0 or cols.max() >= self._m)
+        ):
+            raise IndexError(
+                f"columns {cols.tolist()} out of range for {self._m} lists"
+            )
+        if self._cols is not None:
+            cols = self._cols[cols]
+        return PagedMatrix(
+            self._segment, self._cache, self._row_lo, self._row_hi, cols
+        )
 
     # ------------------------------------------------------------------
     # gathers
@@ -475,7 +501,8 @@ class PagedMatrix:
         row = i + self._row_lo
         page_rows = self._cache.page_rows
         block = self._cache.page(self._segment, row // page_rows)
-        return np.array(block[row - (row // page_rows) * page_rows])
+        values = block[row - (row // page_rows) * page_rows]
+        return np.array(values if self._cols is None else values[self._cols])
 
     def _gather(self, rows: np.ndarray, col: int | None):
         rows = np.asarray(rows)
@@ -505,15 +532,27 @@ class PagedMatrix:
             out = np.empty(len(rows), dtype=np.float64)
         if not rows.size:
             return out
-        pages = rows // page_rows
-        for p in np.unique(pages):
-            mask = pages == p
-            block = cache.page(self._segment, int(p))
-            local = rows[mask] - int(p) * page_rows
-            if col is None:
-                out[mask] = block[local]
+        # one sort by page, then one contiguous run of the sort order
+        # per distinct page: O(R log R + pages)
+        order = np.argsort(rows // page_rows, kind="stable")
+        sorted_rows = rows[order]
+        sorted_pages = sorted_rows // page_rows
+        cuts = np.flatnonzero(sorted_pages[1:] != sorted_pages[:-1]) + 1
+        cols = self._cols
+        if col is not None and cols is not None:
+            col = int(cols[col])
+        for lo, hi in zip(
+            [0, *cuts.tolist()], [*cuts.tolist(), len(sorted_rows)]
+        ):
+            p = int(sorted_pages[lo])
+            block = cache.page(self._segment, p)
+            local = sorted_rows[lo:hi] - p * page_rows
+            if col is not None:
+                out[order[lo:hi]] = block[local, col]
+            elif cols is None:
+                out[order[lo:hi]] = block[local]
             else:
-                out[mask] = block[local, col]
+                out[order[lo:hi]] = block[local[:, None], cols]
         return out
 
     def __getitem__(self, key):

@@ -64,7 +64,8 @@ class ServerProcess:
     num_shards:
         Re-shard (with ``to_sharded``) before persisting.
     latency, jitter, latency_seed:
-        Server-side per-call latency model (seconds).
+        Server-side per-call latency model of the source ops
+        (seconds).
     startup_timeout:
         Seconds to wait for the child's readiness line before killing
         it and raising

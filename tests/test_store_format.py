@@ -543,6 +543,42 @@ class TestPaging:
                               ref[30:70][np.array([0, 5, 39]), 0])
         assert win[39, 1] == ref[69, 1]
 
+    def test_gathers_and_column_subsets_match_fancy_indexing(self, tmp_path):
+        """Row gathers (unsorted, repeated, spanning many pages, boolean
+        masks) through windows and column subsets equal ndarray fancy
+        indexing on the same view of the plain array."""
+        rng = np.random.default_rng(5)
+        values = rng.random(100)
+        reader, cache, n = self._segment(tmp_path, values, page_rows=8)
+        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
+        ref = np.asarray(reader.memmap("grades"))
+        rows = rng.integers(0, 40, 60)  # unsorted, with repeats
+        views = [
+            (mat, ref),
+            (mat.window(30, 70), ref[30:70]),
+            (mat.columns([1, 0]), ref[:, [1, 0]]),
+            (mat.columns([1]), ref[:, [1]]),
+            (mat.window(30, 70).columns([1, 1, 0]), ref[30:70][:, [1, 1, 0]]),
+            (mat.columns([1, 0]).columns([1]), ref[:, [0]]),
+        ]
+        for view, want in views:
+            assert view.shape == want.shape
+            assert np.array_equal(np.asarray(view), want)
+            assert np.array_equal(view[rows], want[rows])
+            mask = rng.random(len(want)) > 0.5
+            assert np.array_equal(view[mask], want[mask])
+            for j in range(want.shape[1]):
+                assert np.array_equal(view[rows, j], want[rows, j])
+                assert np.array_equal(view[mask, j], want[mask, j])
+                assert view[17, j] == want[17, j]
+            assert np.array_equal(view[17], want[17])
+            assert np.array_equal(view[5:21], want[5:21])
+            assert view[np.array([], dtype=np.intp)].shape == (0, want.shape[1])
+        with pytest.raises(IndexError):
+            mat.columns([2])
+        with pytest.raises(IndexError):
+            mat.columns([1])[0, 1]
+
     def test_boolean_mask_gathers_like_ndarray(self, tmp_path):
         """``matrix[mask]`` is mask selection on the in-RAM backends;
         the paged matrix must match, not reinterpret True/False as
