@@ -11,24 +11,29 @@ reads ``VmHWM``, not ``ru_maxrss``, which fork+exec would inherit
 from the build process -- see :func:`_rss_bytes`).
 
 The worker imports the stack, records its post-import RSS baseline,
-opens the store through an :class:`~repro.store.LRUPageCache` (with a
-mapped-pages budget, so even a query sweeping the whole matrix keeps
-resident *file* pages bounded), runs the query mix, and reports peak
-RSS, timings, cache counters and every result on stdout as JSON.  The
-parent then
+opens the store with :func:`~repro.store.open_store` under a
+residency budget (``cache_bytes``: the store's valve releases the map
+whenever the process's file-backed resident set grows past it, so even
+a query sweeping the whole matrix keeps resident *file* pages
+bounded), runs the query mix, and reports peak RSS, the anonymous and
+file-backed resident growth after each query (``RssAnon`` /
+``RssFile``), timings, valve counters and every result on stdout as
+JSON.  The parent then
 
 * verifies each worker result **bit-identical** to the same engine run
   on the in-RAM columnar twin it built (items and AccessStats -- the
   differential contract, enforced at 10M rows too), and
-* asserts ``peak_rss - baseline_rss <= rss_budget`` **in-bench**: a
-  run that busts its residency budget fails here, not just in CI.
+* asserts ``peak_rss - baseline_rss <= rss_budget`` and
+  ``query_seconds <= query_budget`` **in-bench**: a run that busts its
+  residency or query-time budget fails here, not just in CI.
 
 The headline per-run number is ``headroom`` = store bytes / resident
 delta: how many times larger the dataset is than what querying it kept
 resident.  ``check_bench_regression.py --store-baseline`` re-validates
 the committed ``BENCH_store.json`` (>= 10M rows, budget honoured,
-headroom >= its bar) and holds a CI smoke run (``--store-smoke``) to
-its own recorded budget.  Run directly::
+headroom >= its bar, query time under its ceiling) and holds a CI
+smoke run (``--store-smoke``) to its own recorded budgets.  Run
+directly::
 
     PYTHONPATH=src python benchmarks/bench_store.py           # full
     PYTHONPATH=src python benchmarks/bench_store.py --smoke   # CI
@@ -56,11 +61,7 @@ from repro.core import (  # noqa: E402
     ThresholdAlgorithm,
 )
 from repro.middleware.database import ColumnarDatabase  # noqa: E402
-from repro.store import (  # noqa: E402
-    LRUPageCache,
-    StoreBackedDatabase,
-    save_store,
-)
+from repro.store import open_store, save_store  # noqa: E402
 
 SEED = 20260808
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_store.json"
@@ -71,7 +72,7 @@ AGGREGATIONS = {"average": AVERAGE, "sum": SUM, "max": MAX}
 #: full-scale mix keeps only TA: MAX is the shallow paper special case
 #: and AVERAGE at uniform grades is the deep one (TA descends ~2% of
 #: 10M rows and random-accesses a scatter across most matrix pages --
-#: the case that *needs* the mapped-pages budget).  StreamCombine and
+#: the case that *needs* the residency budget).  StreamCombine and
 #: CA are excluded at full scale deliberately: their NRA-family
 #: object buffers grow with the number of *distinct objects seen*
 #: (hundreds of MiB at 10M rows), an engine-side working set no store
@@ -90,6 +91,20 @@ QUERY_MIXES = {
 }
 
 
+def _proc_status() -> dict[str, int]:
+    """``/proc/self/status``'s memory lines, in bytes (empty where
+    ``/proc`` is unavailable)."""
+    try:
+        with open("/proc/self/status") as status:
+            return {
+                name: int(value.split()[0]) * 1024
+                for name, value in (line.split(":", 1) for line in status)
+                if value.strip().endswith("kB")
+            }
+    except OSError:
+        return {}
+
+
 def _rss_bytes() -> int:
     # prefer /proc VmHWM: ``ru_maxrss`` lives in the signal struct and
     # is *inherited across fork+exec* on Linux, so a worker spawned by
@@ -97,23 +112,20 @@ def _rss_bytes() -> int:
     # parent's high-water mark as its own baseline (delta 0 -- the
     # budget assertion would pass vacuously).  VmHWM is per-mm and
     # resets on exec, so it measures this process alone.
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
+    hwm = _proc_status().get("VmHWM")
+    if hwm is not None:
+        return hwm
     # ru_maxrss is kilobytes on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def _run_queries(db, queries) -> list[dict]:
+def _run_queries(db, queries, baseline: dict[str, int]) -> list[dict]:
     runs = []
     for label, factory, agg_name, k in queries:
         start = time.perf_counter()
         result = factory().run_on(db, AGGREGATIONS[agg_name], k)
         seconds = time.perf_counter() - start
+        status = _proc_status()
         stats = result.stats
         runs.append(
             {
@@ -129,6 +141,12 @@ def _run_queries(db, queries) -> list[dict]:
                 "random_accesses": int(stats.random_accesses),
                 "middleware_cost": float(stats.middleware_cost),
                 "depth": int(stats.depth),
+                # resident growth when the query finished, split into
+                # the engine's own allocations and the store's pages
+                "rss_anon_delta_bytes": status.get("RssAnon", 0)
+                - baseline.get("RssAnon", 0),
+                "rss_file_delta_bytes": status.get("RssFile", 0)
+                - baseline.get("RssFile", 0),
             }
         )
     return runs
@@ -137,20 +155,15 @@ def _run_queries(db, queries) -> list[dict]:
 def worker(args: argparse.Namespace) -> int:
     """The measured phase: open the store fresh, query it, report."""
     baseline = _rss_bytes()
-    cache = LRUPageCache(
-        args.cache_bytes,
-        args.page_rows,
-        mapped_budget_bytes=args.mapped_budget_bytes,
-    )
     start = time.perf_counter()
-    db = StoreBackedDatabase(args.worker, cache=cache)
+    db = open_store(args.worker, cache_bytes=args.cache_bytes)
     open_seconds = time.perf_counter() - start
-    runs = _run_queries(db, QUERY_MIXES[args.query_mix])
+    runs = _run_queries(db, QUERY_MIXES[args.query_mix], _proc_status())
     report = {
         "baseline_rss_bytes": baseline,
         "peak_rss_bytes": _rss_bytes(),
         "open_seconds": round(open_seconds, 6),
-        "cache": cache.snapshot(),
+        "cache": db.page_cache.snapshot(),
         "runs": runs,
     }
     print(json.dumps(report))
@@ -160,16 +173,17 @@ def worker(args: argparse.Namespace) -> int:
 def run(smoke: bool) -> dict:
     if smoke:
         n, m = 200_000, 3
-        cache_bytes, page_rows = 4 * 1024 * 1024, 512
-        mapped_budget = 16 * 1024 * 1024
+        cache_bytes = 4 * 1024 * 1024
         rss_budget = 192 * 1024 * 1024
         mix = "smoke"
     else:
         n, m = 10_000_000, 4
-        cache_bytes, page_rows = 64 * 1024 * 1024, 4096
-        mapped_budget = 64 * 1024 * 1024
+        cache_bytes = 64 * 1024 * 1024
         rss_budget = 256 * 1024 * 1024
         mix = "full"
+    # the query phase's ceiling, smoke or full: the 10M TA-average query
+    # must take seconds, not minutes
+    query_budget = 30.0
 
     rng = np.random.default_rng(SEED)
     build_start = time.perf_counter()
@@ -196,10 +210,6 @@ def run(smoke: bool) -> dict:
                 str(path),
                 "--cache-bytes",
                 str(cache_bytes),
-                "--page-rows",
-                str(page_rows),
-                "--mapped-budget-bytes",
-                str(mapped_budget),
                 "--query-mix",
                 mix,
             ],
@@ -242,7 +252,8 @@ def run(smoke: bool) -> dict:
             )
 
     delta = measured["peak_rss_bytes"] - measured["baseline_rss_bytes"]
-    ok = delta <= rss_budget
+    query_seconds = sum(r["seconds"] for r in measured["runs"])
+    ok = delta <= rss_budget and query_seconds <= query_budget
     entry = {
         "part": "store",
         "config": f"N{n}-m{m}-c{cache_bytes // 2**20}MB",
@@ -251,17 +262,20 @@ def run(smoke: bool) -> dict:
         "rows": n,
         "store_bytes": store_bytes,
         "cache_bytes": cache_bytes,
-        "page_rows": page_rows,
-        "mapped_budget_bytes": mapped_budget,
         "rss_budget_bytes": rss_budget,
+        "query_budget_seconds": query_budget,
         "baseline_rss_bytes": measured["baseline_rss_bytes"],
         "peak_rss_bytes": measured["peak_rss_bytes"],
         "resident_delta_bytes": delta,
         "headroom": round(store_bytes / max(1, delta), 3),
         "build_seconds": round(build_seconds, 3),
         "open_seconds": measured["open_seconds"],
-        "query_seconds": round(
-            sum(r["seconds"] for r in measured["runs"]), 6
+        "query_seconds": round(query_seconds, 6),
+        "rss_anon_delta_bytes": max(
+            r["rss_anon_delta_bytes"] for r in measured["runs"]
+        ),
+        "rss_file_delta_bytes": max(
+            r["rss_file_delta_bytes"] for r in measured["runs"]
         ),
         "cache": measured["cache"],
         "queries": measured["runs"],
@@ -274,21 +288,26 @@ def run(smoke: bool) -> dict:
             f"  {run_report['algorithm']:>14s}/"
             f"{run_report['aggregation']:7s} k={run_report['k']:<3d} "
             f"{run_report['seconds']:8.3f}s  "
-            f"depth={run_report['depth']:>8,d}  (bit-identical)"
+            f"depth={run_report['depth']:>8,d}  "
+            f"anon+{run_report['rss_anon_delta_bytes'] / 2**20:.1f}MiB "
+            f"file+{run_report['rss_file_delta_bytes'] / 2**20:.1f}MiB  "
+            "(bit-identical)"
         )
     print(
         f"store {entry['config']:22s} disk={store_bytes / 2**20:7.1f}MiB "
         f"resident-delta={delta / 2**20:6.1f}MiB "
         f"(budget {rss_budget / 2**20:.0f}MiB)  "
         f"headroom={entry['headroom']:5.2f}x  "
+        f"queries={query_seconds:.2f}s (budget {query_budget:.0f}s)  "
         f"{'ok' if ok else 'OVER BUDGET'}"
     )
-    # the in-bench assertion: a run that busts its residency budget is
-    # a failure here, before any CI gate sees the report
+    # the in-bench assertion: a run that busts its residency or
+    # query-time budget is a failure here, before any CI gate sees it
     if not ok:
         raise AssertionError(
-            f"query phase kept {delta / 2**20:.1f} MiB resident, over "
-            f"the {rss_budget / 2**20:.0f} MiB budget"
+            f"query phase kept {delta / 2**20:.1f} MiB resident "
+            f"(budget {rss_budget / 2**20:.0f} MiB) and took "
+            f"{query_seconds:.2f}s (budget {query_budget:.0f}s)"
         )
     return report
 
@@ -312,15 +331,6 @@ def main() -> int:
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     parser.add_argument(
         "--cache-bytes", type=int, default=None, help=argparse.SUPPRESS
-    )
-    parser.add_argument(
-        "--page-rows", type=int, default=None, help=argparse.SUPPRESS
-    )
-    parser.add_argument(
-        "--mapped-budget-bytes",
-        type=int,
-        default=None,
-        help=argparse.SUPPRESS,
     )
     parser.add_argument(
         "--query-mix",

@@ -49,16 +49,18 @@ per-query metric emission may cost at most 10%) on every run; a smoke
 run is held to the same bounds times ``--obs-smoke-slack`` (default
 3.0), because CI boxes make sub-millisecond ratios noisy.
 
-Store gate (``--store-baseline``): residency-ceiling semantics for
+Store gate (``--store-baseline``): ceiling semantics for
 ``BENCH_store.json`` (``bench_store.py``).  Every run must have kept
 its query phase's resident-set growth within its own recorded
-``rss_budget_bytes`` (the bench also asserts this in-process), with
-results bit-identical to the in-RAM reference; the committed baseline
-must additionally prove genuine out-of-core scale: >=
-``--store-min-rows`` rows (default 10M) and ``headroom`` (store bytes
-/ resident delta) >= ``--store-min-headroom`` (default 2.0) on at
+``rss_budget_bytes`` and its query time within its own recorded
+``query_budget_seconds`` (the bench also asserts both in-process),
+with results bit-identical to the in-RAM reference; the committed
+baseline must additionally prove genuine out-of-core scale at speed:
+>= ``--store-min-rows`` rows (default 10M), ``headroom`` (store bytes
+/ resident delta) >= ``--store-min-headroom`` (default 2.0) and
+``query_seconds`` <= ``--store-max-query-seconds`` (default 30) on at
 least one run.  A smoke run (``--store-smoke``) is held only to its
-own recorded budget -- CI cannot rebuild a ~1 GiB dataset, so there
+own recorded budgets -- CI cannot rebuild a ~1 GiB dataset, so there
 is deliberately no overlap requirement with the committed grid.
 
 Run::
@@ -277,13 +279,16 @@ def check_store(
     smoke_path: Path | None,
     min_rows: int,
     min_headroom: float,
+    max_query_seconds: float,
 ) -> int:
     """Gate the out-of-core store reports (``bench_store.py``):
-    residency ceilings, not speedups.  Every run (baseline and smoke)
-    must have honoured its own recorded ``rss_budget_bytes`` with
+    residency and query-time ceilings, not speedups.  Every run
+    (baseline and smoke) must have honoured its own recorded
+    ``rss_budget_bytes`` and ``query_budget_seconds`` with
     bit-identical results; the committed baseline must additionally
     contain at least one genuinely out-of-core run (>= ``min_rows``
-    rows with ``headroom`` >= ``min_headroom``)."""
+    rows with ``headroom`` >= ``min_headroom``, queried in <=
+    ``max_query_seconds``)."""
     failures = []
     at_scale = False
 
@@ -294,10 +299,13 @@ def check_store(
             config = run["config"]
             delta = run["resident_delta_bytes"]
             budget = run["rss_budget_bytes"]
+            seconds = run["query_seconds"]
+            query_budget = run["query_budget_seconds"]
             ok = (
                 run["ok"]
                 and run["results_match"]
                 and delta <= budget
+                and seconds <= query_budget
             )
             print(
                 f"store {arm_label:8s} {config:22s} "
@@ -305,16 +313,18 @@ def check_store(
                 f"resident-delta={delta / 2**20:7.1f}MiB "
                 f"(<= {budget / 2**20:.0f}MiB)  "
                 f"headroom={run['headroom']:8.2f}x  "
+                f"queries={seconds:7.2f}s (<= {query_budget:g}s)  "
                 f"{'ok' if ok else 'FAIL'}"
             )
             if not ok:
                 failures.append(
-                    (arm_label, config, "residency budget or results")
+                    (arm_label, config, "residency/time budget or results")
                 )
             if (
                 arm_label == "baseline"
                 and run["rows"] >= min_rows
                 and run["headroom"] >= min_headroom
+                and seconds <= max_query_seconds
             ):
                 at_scale = True
 
@@ -326,9 +336,10 @@ def check_store(
             (
                 "baseline",
                 "-",
-                f"no committed run with >= {min_rows:,} rows and "
-                f"headroom >= {min_headroom:g}x (the out-of-core "
-                "acceptance bar)",
+                f"no committed run with >= {min_rows:,} rows, "
+                f"headroom >= {min_headroom:g}x and queries <= "
+                f"{max_query_seconds:g}s (the out-of-core acceptance "
+                "bar)",
             )
         )
     if failures:
@@ -338,7 +349,7 @@ def check_store(
             file=sys.stderr,
         )
         return 1
-    print("store bench gate: all residency ceilings held")
+    print("store bench gate: all residency and query-time ceilings held")
     return 0
 
 
@@ -565,6 +576,16 @@ def main() -> int:
         ),
     )
     parser.add_argument(
+        "--store-max-query-seconds",
+        type=float,
+        default=30.0,
+        help=(
+            "query-phase time ceiling the committed at-scale store run "
+            "must meet (default 30: the 10M-row TA queries take "
+            "seconds, not minutes)"
+        ),
+    )
+    parser.add_argument(
         "--obs-baseline",
         type=Path,
         default=None,
@@ -685,6 +706,7 @@ def main() -> int:
             args.store_smoke,
             args.store_min_rows,
             args.store_min_headroom,
+            args.store_max_query_seconds,
         )
         status = status or store_status
     if args.obs_baseline is not None:

@@ -61,9 +61,10 @@ without perturbing the answer or the accounting.
 
 With ``--ondisk`` the merged engine index is persisted to the v3
 memory-mapped store (:mod:`repro.store`) and the same query runs
-*out-of-core*: reads page in through an LRU cache, only the consumed
-prefix ever becomes resident, and the answer -- bounds, tie order,
-and the full access accounting -- is bit-identical to the in-RAM run.
+*out-of-core*: the engines read the memory map in place, only the
+pages they touch become resident (under a residency budget), and the
+answer -- bounds, tie order, and the full access accounting -- is
+bit-identical to the in-RAM run.
 
 Run:  python examples/web_metasearch.py
           [--subprocess] [--server] [--live] [--chaos] [--metrics]
@@ -385,7 +386,7 @@ def metrics_demo(engines, k: int) -> None:
 def ondisk_demo(engines, k: int) -> None:
     """The same metasearch index persisted to the v3 store and queried
     out-of-core: the engines' merged lists live in one memory-mapped
-    file, reads go through an LRU page cache, and the answer -- items,
+    file, read in place under a residency budget, and the answer -- items,
     bounds, and the full access accounting -- is bit-identical to the
     in-RAM run."""
     import tempfile
@@ -405,23 +406,23 @@ def ondisk_demo(engines, k: int) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "engines.store"
         save_store(engine_db, path)
-        ondisk = open_store(path, cache_bytes=1 << 20, page_rows=256)
+        ondisk = open_store(path, cache_bytes=1 << 20)
         result = algorithm.run(AccessSession(ondisk), SUM, k)
         assert [i.obj for i in result.items] == [
             i.obj for i in baseline.items
         ]
         assert result.stats == baseline.stats
-        cache = ondisk.page_cache.snapshot()
+        valve = ondisk.page_cache.snapshot()
         print(
             f"store: {path.stat().st_size / 1024:.0f} KiB on disk, "
-            f"{cache['mapped_bytes'] / 1024:.0f} KiB ever mapped, "
-            f"{cache['cached_bytes'] / 1024:.0f} KiB resident in "
-            f"{cache['pages']} cache pages "
-            f"(hits {cache['hits']}, misses {cache['misses']})."
+            f"mapped read-only; residency budget "
+            f"{valve['budget_bytes'] / 1024:.0f} KiB, "
+            f"{valve['hits'] + valve['misses']} valve checks "
+            f"({valve['misses']} over budget)."
         )
         print(
             "answer and access accounting bit-identical to the in-RAM "
-            "run; only the consumed prefix was ever paged in."
+            "run; only the pages the query read became resident."
         )
 
 

@@ -330,7 +330,6 @@ class ThresholdAlgorithm(TopKAlgorithm):
         prefix through the session's batched access methods.
         """
         db = session.columnar_view()
-        matrix = db._matrix
         order_rows = db._order_rows
         order_grades = db._order_grades
         n = db.num_objects
@@ -394,7 +393,7 @@ class ThresholdAlgorithm(TopKAlgorithm):
             total = chunk.total
             c_eff = chunk.c_eff
             bott = chunk.bottoms_matrix
-            overall_arr = aggregation.aggregate_batch(matrix[rows_all])
+            overall_arr = aggregation.aggregate_batch(db._gather(rows_all))
             overall = overall_arr.tolist()
             objs_all = db.ids_for_rows(rows_all)
             rounds_list = rounds_all.tolist()

@@ -241,6 +241,11 @@ class AccessSession:
             if isinstance(database, ColumnarDatabase)
             else None
         )
+        # a store's residency valve runs when a query opens and at every
+        # chunk boundary (see budget_exceeded); in RAM there is none
+        self._valve = None if self._columnar is None else self._columnar._valve
+        if self._valve is not None:
+            self._valve.check()
 
     # ------------------------------------------------------------------
     # convenience constructors for the paper's scenarios
@@ -603,16 +608,16 @@ class AccessSession:
                                 list_index,
                                 tuple(objects[:prefix]),
                                 tuple(
-                                    db._matrix[
+                                    db._gather(
                                         prefix_rows, list_index
-                                    ].tolist()
+                                    ).tolist()
                                 ),
                                 -1,
                                 self.middleware_cost,
                             )
                         )
                     raise WildGuessError(obj, list_index)
-        grades = db._matrix[rows, list_index]
+        grades = db._gather(rows, list_index)
         self._random_by_list[list_index] += len(rows)
         if self.trace is not None:
             if objects is None:
@@ -672,7 +677,11 @@ class AccessSession:
     @property
     def budget_exceeded(self) -> bool:
         """True once the attached :class:`QueryBudget` has expired (always
-        false without one).  Engines poll this at round/chunk boundaries."""
+        false without one).  Engines poll this at round/chunk boundaries,
+        which is also where a store's residency valve runs (see
+        :mod:`repro.store.valve`); the valve never changes the answer."""
+        if self._valve is not None:
+            self._valve.check()
         return self._budget is not None and self._budget.expired(
             self.middleware_cost
         )

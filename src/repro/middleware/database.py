@@ -44,11 +44,14 @@ from __future__ import annotations
 import heapq
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
 from .errors import DatabaseError, UnknownListError, UnknownObjectError
+
+if TYPE_CHECKING:
+    from ..store.valve import ResidencyValve
 
 __all__ = [
     "Database",
@@ -408,6 +411,10 @@ class ColumnarDatabase(Database):
     skipped entirely.
     """
 
+    #: a store's residency valve, run before each slice of a sliced
+    #: gather (see :meth:`_gather`); ``None`` for in-RAM databases
+    _valve: ResidencyValve | None = None
+
     def __init__(
         self,
         matrix: np.ndarray,
@@ -536,23 +543,33 @@ class ColumnarDatabase(Database):
         read-only columnar database whose list ``j`` is this one's list
         ``lists[j]`` -- what a query over ``QuerySpec.lists`` reads.
 
-        The projection shares the id interning and the per-list order
-        arrays (no re-sort, so tie placement is exactly the parent's);
-        only the grade matrix is narrowed: an in-RAM column copy, or a
-        column-subset view for a paged store matrix (no O(N*m) read).
-        The full list set in order is the database itself."""
+        The projection shares the id interning, the per-list order
+        arrays (no re-sort, so tie placement is exactly the parent's)
+        and the residency valve; only the grade matrix is narrowed.
+        When ``lists`` is an arithmetic progression -- any one or two
+        lists, a contiguous range, a reversed set such as ``(3, 1)``
+        -- it is a strided view of the parent's matrix (over a store:
+        of the map itself, nothing read); any other list set copies
+        its columns, O(N * len(lists)).  The full list set in order is
+        the database itself."""
         lists = [int(i) for i in lists]
         for i in lists:
             self._check_list(i)
         if lists == list(range(self._m)):
             return self
         view = ColumnarDatabase.__new__(ColumnarDatabase)
-        matrix = self._matrix
-        view._matrix = (
-            matrix[:, lists]
-            if isinstance(matrix, np.ndarray)
-            else matrix.columns(lists)
-        )
+        step = lists[1] - lists[0] if len(lists) > 1 else 1
+        if step and lists == list(
+            range(lists[0], lists[0] + step * len(lists), step)
+        ):
+            # a reversed range running down to list 0 has no stop index
+            stop = lists[-1] + step
+            view._matrix = self._matrix[
+                :, lists[0] : stop if stop >= 0 else None : step
+            ]
+        else:
+            view._matrix = self._matrix[:, lists]
+        view._valve = self._valve
         view._ids = self._ids
         view._row_of = self._row_of
         view._trivial_ids = self._trivial_ids
@@ -561,6 +578,31 @@ class ColumnarDatabase(Database):
         view._order_rows = [self._order_rows[i] for i in lists]
         view._order_grades = [self._order_grades[i] for i in lists]
         return view
+
+    def _gather(
+        self, rows: np.ndarray, column: int | None = None
+    ) -> np.ndarray:
+        """``_matrix[rows]``, or ``_matrix[rows, column]``: the random
+        gather behind TA's speculation and ``random_access_batch``.
+
+        Over a store whose valve slices gathers (``slice_rows``; see
+        :mod:`repro.store.valve`), it reads in slices of that many rows
+        and runs the residency valve before each: one fault can map a
+        whole page-cache folio, so the gathers of one engine chunk
+        could otherwise map the entire matrix between two of the
+        engines' chunk boundaries."""
+        matrix = self._matrix
+        valve = self._valve
+        if valve is None or valve.slice_rows is None:
+            return matrix[rows] if column is None else matrix[rows, column]
+        step = valve.slice_rows
+        if column is not None:
+            matrix = matrix[:, column]
+        out = np.empty((len(rows),) + matrix.shape[1:], dtype=matrix.dtype)
+        for lo in range(0, len(rows), step):
+            valve.check()
+            out[lo : lo + step] = matrix[rows[lo : lo + step]]
+        return out
 
     # ------------------------------------------------------------------
     # scalar-backend compatibility (lazy; only built if legacy internals

@@ -6,11 +6,11 @@ the queries over them.
     PYTHONPATH=src python -m repro.server --store db.store --port 0
 
 Opens the database written by :func:`~repro.store.save_store`
-out-of-core through the memory-mapped v3 store and its LRU page cache,
-sized by ``--store-cache-mb`` / ``--store-page-rows`` (the cache's
-hit/miss/eviction counters ride the obs plane and the ``stats`` wire
-op's ``store`` key); a legacy v1/v2 ``.npz`` archive is recognised
-and loaded into RAM instead.  It mounts a
+out-of-core: the v3 store is memory-mapped read-only and its resident
+pages are bounded by ``--store-cache-mb`` through the store's
+residency valve (whose check/release counters ride the obs plane and
+the ``stats`` wire op's ``store`` key); a legacy v1/v2 ``.npz``
+archive is recognised and loaded into RAM instead.  It mounts a
 :class:`~repro.server.service.QueryService` over that database on a
 :class:`~repro.server.wire.QueryServer`, binds, prints one readiness
 line ``LISTENING <host> <port>`` (flushed), and serves until killed.
@@ -81,7 +81,6 @@ def build_server(args: argparse.Namespace) -> QueryServer:
     db = open_store(
         Path(args.store),
         cache_bytes=args.store_cache_mb * 1024 * 1024,
-        page_rows=args.store_page_rows,
         obs=obs,
     )
     service = QueryService(
@@ -137,21 +136,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--store",
         required=True,
-        help="v3 store written by save_store, served out-of-core via "
-        "np.memmap behind an LRU page cache (legacy .npz files are "
-        "detected and loaded into RAM)",
+        help="v3 store written by save_store, served out-of-core from "
+        "a read-only memory map (legacy .npz files are detected and "
+        "loaded into RAM)",
     )
     parser.add_argument(
         "--store-cache-mb",
         type=int,
         default=64,
-        help="LRU page-cache capacity for --store, megabytes",
-    )
-    parser.add_argument(
-        "--store-page-rows",
-        type=int,
-        default=4096,
-        help="rows per cache page for --store",
+        help="residency budget for --store, megabytes: resident pages "
+        "of the map past it are handed back to the kernel",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(

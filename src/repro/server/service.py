@@ -1108,11 +1108,11 @@ class QueryService:
                 session.close()
             self._active.discard(state.query_id)
             self._m_active.set(len(self._active))
-            cache = getattr(self._database, "page_cache", None)
-            if not self._active and cache is not None and cache.mapped_bytes:
-                # between queries: a store's page cache keeps its
-                # copies, so the mapped file pages are handed back
-                cache.release_mappings()
+            valve = getattr(self._database, "page_cache", None)
+            if not self._active and valve is not None:
+                # between queries: hand a store's resident pages back
+                # (the next query faults in only what it reads)
+                valve.release_mappings()
             self._scheduler.call_soon(self._admit_more)
 
     def _finish(

@@ -3,12 +3,16 @@
 The :mod:`repro.store` package persists a database -- grade matrix,
 per-list sorted orders, and (when sharded) the per-(list, shard) run
 triples -- into a single versioned binary file, and serves the
-``Database`` API straight off that file through ``np.memmap`` and an
-:class:`LRUPageCache`.  Opening a store is O(1) in data size; a top-k
-query's resident set is proportional to the prefix the paper's cost
-model bills, not to N.  See the "Out-of-core store" section of
-ARCHITECTURE.md for the format layout and the page-cache charging
-contract.
+``Database`` API straight off that file: the backends' internals are
+read-only arrays viewing one ``mmap`` of it, so the engines read
+exactly the bytes they touch and copy nothing.  A
+:class:`ResidencyValve` bounds what the map keeps resident
+(``cache_bytes``) with ``madvise(MADV_DONTNEED)``, run at the engines'
+chunk boundaries and before each slice of a large store's random
+gathers.  Opening a store is O(1) in data size; a top-k query's
+resident set is proportional to the prefix the paper's cost model
+bills, not to N.  See the "Out-of-core store" section of
+ARCHITECTURE.md for the format layout and the valve's contract.
 """
 
 from __future__ import annotations
@@ -18,14 +22,6 @@ from .backend import (
     StoreBackedShardedDatabase,
     open_store,
 )
-from .cache import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_PAGE_ROWS,
-    LRUPageCache,
-    PagedMatrix,
-    PagedVector,
-    StoreSegment,
-)
 from .format import (
     STORE_MAGIC,
     STORE_VERSION,
@@ -34,20 +30,17 @@ from .format import (
     is_npz_file,
     save_store,
 )
+from .valve import DEFAULT_CACHE_BYTES, ResidencyValve
 
 __all__ = [
     "STORE_MAGIC",
     "STORE_VERSION",
     "DEFAULT_CACHE_BYTES",
-    "DEFAULT_PAGE_ROWS",
     "StoreReader",
     "StoreWriter",
     "save_store",
     "is_npz_file",
-    "LRUPageCache",
-    "StoreSegment",
-    "PagedVector",
-    "PagedMatrix",
+    "ResidencyValve",
     "StoreBackedDatabase",
     "StoreBackedShardedDatabase",
     "open_store",

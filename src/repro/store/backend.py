@@ -3,24 +3,26 @@
 :class:`StoreBackedDatabase` / :class:`StoreBackedShardedDatabase`
 subclass the in-RAM array backends and replace their internals --
 ``_matrix``, ``_order_rows[i]`` / ``_order_grades[i]``, and (for the
-sharded variant) the per-(list, shard) run triples -- with paged
-proxies reading through one :class:`~repro.store.cache.LRUPageCache`.
-Everything above the ``Database`` API -- the batched access plane, all
-four chunked engines, ``QueryService``, transport serving, and
-``save``/``load`` round trips -- runs unmodified, and the differential
-suite's store axis holds the results bit-identical to the scalar
-reference.
+sharded variant) the shard windows and the per-(list, shard) run
+triples -- with read-only arrays viewing the store file's one memory
+map in place.  Everything above the ``Database`` API -- the batched
+access plane, all four chunked engines, ``QueryService``, the served
+source ops, and ``save_store`` round trips -- runs unmodified on plain
+ndarrays, and the differential suite's store axis holds the results
+bit-identical to the scalar reference.  A
+:class:`~repro.store.valve.ResidencyValve` bounds how much of the map
+stays resident.
 
 Construction is O(1) in data size for trivially-id'd stores (ids
 ``0 .. N-1``, the large-synthetic-workload case): the constructor
-reads only the already-validated header; no segment is mapped, no row
-is touched, no id table is built.  Stores carrying explicit object
-ids intern them eagerly (O(N) in the id table, still O(1) in grade
-data) -- those stores are the suite-scale adversarial constructions,
-not the ≫-RAM ones.
+reads only the already-validated header and maps the file; no row is
+touched, no id table is built.  Stores carrying explicit object ids
+intern them eagerly (O(N) in the id table, still O(1) in grade data)
+-- those stores are the suite-scale adversarial constructions, not
+the ≫-RAM ones.
 
 Ground-truth helpers (``top_k``, ``overall_grades``, validation,
-``satisfies_distinctness``) materialise dense arrays: they are
+``satisfies_distinctness``) read whole arrays: they are
 verification-path conveniences, documented O(N·m), never used by the
 engines.
 """
@@ -38,15 +40,8 @@ from ..middleware.database import (
     ShardedDatabase,
 )
 from ..middleware.errors import DatabaseError
-from .cache import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_PAGE_ROWS,
-    LRUPageCache,
-    PagedMatrix,
-    PagedVector,
-    StoreSegment,
-)
 from .format import StoreReader, is_npz_file
+from .valve import DEFAULT_CACHE_BYTES, ResidencyValve
 
 __all__ = [
     "StoreBackedDatabase",
@@ -77,16 +72,17 @@ class _TrivialRowOf:
         return self._n
 
 
-def _arm_core(db, reader: StoreReader, cache: LRUPageCache) -> None:
-    """Shared constructor body of the store backends: wire the paged
-    grade matrix and the id <-> row translation without touching data
-    (``ColumnarDatabase._init_core``'s O(N) copies are bypassed)."""
+def _arm_core(db, reader: StoreReader, cache_bytes: int, obs) -> None:
+    """Shared constructor body of the store backends: map the grade
+    matrix, arm the residency valve and wire the id <-> row translation
+    without touching data (``ColumnarDatabase._init_core``'s O(N)
+    copies are bypassed)."""
     db._reader = reader
-    db._page_cache = cache
     n, m = reader.num_objects, reader.num_lists
     db._m = m
-    db._matrix = PagedMatrix(  # type: ignore[assignment]
-        StoreSegment(reader, "grades", cache), cache
+    db._matrix = reader.memmap("grades")
+    db._valve = ResidencyValve(
+        reader.mapping, cache_bytes, matrix_bytes=db._matrix.nbytes, obs=obs
     )
     ids = reader.object_ids()
     if ids is None:
@@ -102,66 +98,32 @@ def _arm_core(db, reader: StoreReader, cache: LRUPageCache) -> None:
     db._position0_rows = None
 
 
-def _paged_order(
-    reader: StoreReader, cache: LRUPageCache, i: int
-) -> tuple[PagedVector, PagedVector]:
-    return (
-        PagedVector(
-            StoreSegment(reader, f"order_rows/{i}", cache),
-            cache,
-            dtype=np.intp,
-        ),
-        PagedVector(
-            StoreSegment(reader, f"order_grades/{i}", cache), cache
-        ),
-    )
+def _order(reader: StoreReader, i: int) -> tuple[np.ndarray, np.ndarray]:
+    return reader.memmap(f"order_rows/{i}"), reader.memmap(f"order_grades/{i}")
 
 
-class _PagedOps:
-    """Verification-path overrides shared by both store backends: the
-    inherited implementations assume ``_matrix`` supports ufuncs, so
-    these materialise a dense copy first (documented O(N·m) -- never
-    on an engine path)."""
+class _StoreOps:
+    """Store introspection shared by both store backends."""
 
-    def _dense(self) -> np.ndarray:
-        return np.asarray(self._matrix, dtype=np.float64)
+    _reader: StoreReader
+    _valve: ResidencyValve | None
 
-    def overall_grades(self, t) -> dict:
-        t.check_arity(self._m)
-        values = t.aggregate_batch(self._dense())
-        return dict(zip(self._ids, values.tolist()))
-
-    def top_k(self, t, k: int) -> list:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        t.check_arity(self._m)
-        overall = t.aggregate_batch(self._dense())
-        if self._position0_rows is None:
-            n = len(self._ids)
-            pos0 = np.empty(n, dtype=np.intp)
-            pos0[np.asarray(self._order_rows[0], dtype=np.intp)] = (
-                np.arange(n)
-            )
-            self._position0_rows = pos0
-        order = np.lexsort((self._position0_rows, -overall))
-        ids = self._ids
-        return [(ids[r], float(overall[r])) for r in order[:k].tolist()]
-
-    # ------------------------------------------------------------------
-    # store introspection
-    # ------------------------------------------------------------------
     @property
     def reader(self) -> StoreReader:
         return self._reader
 
     @property
-    def page_cache(self) -> LRUPageCache:
-        return self._page_cache
+    def page_cache(self) -> ResidencyValve:
+        """The store's residency valve (the name predates it: it is
+        what bounds the store's resident pages)."""
+        valve = self._valve
+        assert valve is not None  # armed by every store constructor
+        return valve
 
     def store_snapshot(self) -> dict:
-        """JSON-safe store + cache state (surfaced by
+        """JSON-safe store + valve state (surfaced by
         ``QueryService.stats()`` under the ``"store"`` key)."""
-        snapshot = self._page_cache.snapshot()
+        snapshot = self.page_cache.snapshot()
         snapshot["path"] = str(self._reader.path)
         snapshot["format_version"] = self._reader.version
         snapshot["segments"] = len(self._reader.segments)
@@ -169,50 +131,38 @@ class _PagedOps:
         return snapshot
 
 
-class StoreBackedDatabase(_PagedOps, ColumnarDatabase):
+class StoreBackedDatabase(_StoreOps, ColumnarDatabase):
     """A :class:`~repro.middleware.database.ColumnarDatabase` whose
-    matrix and order arrays live on disk behind an LRU page cache.
+    matrix and order arrays are read-only views of a store file's
+    memory map, with residency bounded by ``cache_bytes``.
 
-    ``validate=True`` materialises the store and runs the full in-RAM
-    validation (order arrays against the matrix included) -- a
-    suite-scale option, not for ≫-RAM files.
+    ``validate=True`` runs the full columnar validation over the maps
+    (order arrays against the matrix included) -- a suite-scale
+    option that reads every byte, not for ≫-RAM files.
     """
 
     def __init__(
         self,
         reader: StoreReader | str | Path,
         *,
-        cache: LRUPageCache | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        page_rows: int = DEFAULT_PAGE_ROWS,
         obs=None,
         validate: bool = False,
     ):
         if not isinstance(reader, StoreReader):
             reader = StoreReader(reader)
-        if cache is None:
-            cache = LRUPageCache(cache_bytes, page_rows, obs=obs)
-        _arm_core(self, reader, cache)
-        self._order_rows = []  # type: ignore[assignment]
-        self._order_grades = []  # type: ignore[assignment]
-        for i in range(self._m):
-            rows, grades = _paged_order(reader, cache, i)
-            self._order_rows.append(rows)
-            self._order_grades.append(grades)
+        _arm_core(self, reader, cache_bytes, obs)
+        orders = [_order(reader, i) for i in range(self._m)]
+        self._order_rows = [rows for rows, _ in orders]
+        self._order_grades = [grades for _, grades in orders]
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        dense = self._dense()
-        order_rows = [
-            np.asarray(rows, dtype=np.intp) for rows in self._order_rows
-        ]
-        checked = ColumnarDatabase(
-            dense, list(self._ids), order_rows, validate=True
-        )
+        super()._validate()
         for i in range(self._m):
             if not np.array_equal(
-                np.asarray(self._order_grades[i]), checked._order_grades[i]
+                self._order_grades[i], self._matrix[self._order_rows[i], i]
             ):
                 raise DatabaseError(
                     f"list {i}: stored order grades disagree with the "
@@ -226,11 +176,12 @@ class StoreBackedDatabase(_PagedOps, ColumnarDatabase):
         )
 
 
-class StoreBackedShardedDatabase(_PagedOps, ShardedDatabase):
+class StoreBackedShardedDatabase(_StoreOps, ShardedDatabase):
     """A :class:`~repro.middleware.database.ShardedDatabase` over a
-    sharded v3 store: per-(list, shard) run triples are paged vectors,
-    and the persisted merged global orders pre-fill ``_merged_cache``
-    so sorted access never re-merges (mirroring ``load_npz``'s sharded
+    sharded v3 store: the shard windows are row slices of the mapped
+    matrix, the per-(list, shard) run triples are mapped segments, and
+    the persisted merged global orders pre-fill ``_merged_cache`` so
+    sorted access never re-merges (mirroring ``load_npz``'s sharded
     path) -- a query's resident set stays proportional to the prefix
     it consumes, not to ``N``.
     """
@@ -239,9 +190,7 @@ class StoreBackedShardedDatabase(_PagedOps, ShardedDatabase):
         self,
         reader: StoreReader | str | Path,
         *,
-        cache: LRUPageCache | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        page_rows: int = DEFAULT_PAGE_ROWS,
         obs=None,
         validate: bool = False,
     ):
@@ -252,35 +201,20 @@ class StoreBackedShardedDatabase(_PagedOps, ShardedDatabase):
                 f"{reader.path} carries no shard layout; open it as a "
                 "StoreBackedDatabase"
             )
-        if cache is None:
-            cache = LRUPageCache(cache_bytes, page_rows, obs=obs)
-        _arm_core(self, reader, cache)
+        _arm_core(self, reader, cache_bytes, obs)
         self._shard_bounds = np.asarray(reader.shard_bounds, dtype=np.intp)
-        self._shard_matrices = [  # type: ignore[assignment]
-            self._matrix.window(int(lo), int(hi))
+        self._shard_matrices = [
+            self._matrix[int(lo) : int(hi)]
             for lo, hi in zip(
                 self._shard_bounds[:-1], self._shard_bounds[1:]
             )
         ]
-        self._runs = [  # type: ignore[assignment]
+        self._runs = [
             [
                 (
-                    PagedVector(
-                        StoreSegment(reader, f"run_rows/{i}/{s}", cache),
-                        cache,
-                        dtype=np.intp,
-                    ),
-                    PagedVector(
-                        StoreSegment(
-                            reader, f"run_grades/{i}/{s}", cache
-                        ),
-                        cache,
-                    ),
-                    PagedVector(
-                        StoreSegment(reader, f"run_ties/{i}/{s}", cache),
-                        cache,
-                        dtype=np.int64,
-                    ),
+                    reader.memmap(f"run_rows/{i}/{s}"),
+                    reader.memmap(f"run_grades/{i}/{s}"),
+                    reader.memmap(f"run_ties/{i}/{s}"),
                 )
                 for s in range(reader.num_shards)
             ]
@@ -288,41 +222,21 @@ class StoreBackedShardedDatabase(_PagedOps, ShardedDatabase):
         ]
         # the persisted merged orders ARE the merge of the persisted
         # runs (validate=True checks that claim); handing them to the
-        # merge cache means sorted access is pure paged slicing
-        self._merged_cache = [  # type: ignore[assignment]
-            _paged_order(reader, cache, i) for i in range(self._m)
-        ]
+        # merge cache means sorted access is pure slicing of the map
+        self._merged_cache = [_order(reader, i) for i in range(self._m)]
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        dense = self._dense()
-        runs = [
-            [
-                (
-                    np.asarray(rows, dtype=np.intp),
-                    np.asarray(grades, dtype=np.float64),
-                    np.asarray(ties, dtype=np.int64),
-                )
-                for rows, grades, ties in shard_runs
-            ]
-            for shard_runs in self._runs
-        ]
-        ShardedDatabase(
-            dense,
-            list(self._ids),
-            self._shard_bounds,
-            runs,
-            validate=True,
-        )
+        super()._validate()
         for i in range(self._m):
-            merged_rows, merged_grades = ListMergeCursor(runs[i]).drain()
-            stored_rows, stored_grades = self._merged_cache[i]
+            merged_rows, merged_grades = ListMergeCursor(
+                self._runs[i]
+            ).drain()
+            stored_rows, stored_grades = self._merged_order(i)
             if not np.array_equal(
-                np.asarray(stored_rows, dtype=np.intp), merged_rows
-            ) or not np.array_equal(
-                np.asarray(stored_grades), merged_grades
-            ):
+                stored_rows, merged_rows
+            ) or not np.array_equal(stored_grades, merged_grades):
                 raise DatabaseError(
                     f"list {i}: stored merged order disagrees with the "
                     "merge of the stored shard runs"
@@ -340,19 +254,18 @@ def open_store(
     path: str | Path,
     *,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
-    page_rows: int = DEFAULT_PAGE_ROWS,
     obs=None,
     validate: bool = False,
 ) -> Database:
     """Open a persisted database for querying, out-of-core when the
     file allows it.
 
-    A v3 store file maps lazily behind an LRU page cache and comes
-    back as a :class:`StoreBackedDatabase` (or
-    :class:`StoreBackedShardedDatabase` when the store carries a shard
-    layout).  Legacy v1/v2 ``.npz`` files -- recognised by their zip
-    magic -- fall back to
-    :func:`~repro.middleware.serialization.load_npz` (fully loaded
+    A v3 store file is memory-mapped read-only and comes back as a
+    :class:`StoreBackedDatabase` (or :class:`StoreBackedShardedDatabase`
+    when the store carries a shard layout) whose resident pages are
+    bounded by ``cache_bytes`` (see :mod:`repro.store.valve`).  Legacy
+    v1/v2 ``.npz`` files -- recognised by their zip magic -- fall back
+    to :func:`~repro.middleware.serialization.load_npz` (fully loaded
     in RAM, same results); rewrite them with
     :func:`~repro.store.format.save_store` to get the out-of-core
     path.  Anything else raises
@@ -370,10 +283,4 @@ def open_store(
         if reader.num_shards > 1
         else StoreBackedDatabase
     )
-    return cls(
-        reader,
-        cache_bytes=cache_bytes,
-        page_rows=page_rows,
-        obs=obs,
-        validate=validate,
-    )
+    return cls(reader, cache_bytes=cache_bytes, obs=obs, validate=validate)

@@ -9,9 +9,9 @@ loaded:
   layout (``repro-database-npz-v2``, see
   :mod:`repro.middleware.serialization`);
 * v3 -- this format: an explicit binary header followed by raw
-  little-endian array segments at stated offsets, so a reader can
-  ``np.memmap`` each segment *lazily* (per list, per shard) and open a
-  multi-gigabyte store in O(1) time and memory.
+  little-endian array segments at stated offsets, so a reader maps
+  the file once and views each segment in place as a read-only
+  array: a multi-gigabyte store opens in O(1) time and memory.
 
 Layout::
 
@@ -34,8 +34,8 @@ run of list ``i``, exactly the ``(rows, grades, ties)`` triples of
 No-trust discipline (same contract as the wire codec): every
 structural property -- magic, version, header bounds, JSON shape,
 segment offsets against the real file size and against each other
-(no two segments may overlap) -- is checked **before any
-``np.memmap`` is created**; violations raise
+(no two segments may overlap) -- is checked **before the file is
+mapped**; violations raise
 :class:`~repro.middleware.errors.StoreFormatError`.  A file written by
 a *newer* format version is refused outright with a clear message
 rather than half-read.  Legacy v1/v2 ``.npz`` files are detected by
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import io
 import json
+import mmap
 import os
 import struct
 import weakref
@@ -187,9 +188,10 @@ class StoreReader:
     """Validated, lazily-mapping view of one v3 store file.
 
     Construction reads and fully validates the header (magic, version,
-    bounds, segment table) without creating a single ``np.memmap`` --
-    O(header) work regardless of data size.  :meth:`memmap` maps one
-    segment on demand, read-only.
+    bounds, segment table) without mapping anything -- O(header) work
+    regardless of data size.  :meth:`memmap` views one segment of the
+    file's single read-only map (:attr:`mapping`, created on first
+    use).
     """
 
     def __init__(self, path: str | Path):
@@ -260,6 +262,7 @@ class StoreReader:
             ) from None
         self.version = version
         self._file_size = file_size
+        self._mapping: mmap.mmap | None = None
         self._validate_header(header)
 
     # ------------------------------------------------------------------
@@ -419,20 +422,32 @@ class StoreReader:
             )
         ]
 
-    def memmap(self, name: str) -> np.memmap:
-        """Map one segment read-only (the *only* place data bytes are
-        touched; callers go through the page cache)."""
+    @property
+    def mapping(self) -> mmap.mmap:
+        """The whole file, mapped read-only from the descriptor this
+        reader opened (so a store re-saved over ``path`` later never
+        leaks in).  Mapping touches no data; pages become resident as
+        they are read."""
+        if self._mapping is None:
+            self._mapping = mmap.mmap(
+                self._file.fileno(), 0, access=mmap.ACCESS_READ
+            )
+        return self._mapping
+
+    def memmap(self, name: str) -> np.ndarray:
+        """Segment ``name`` as a read-only array viewing
+        :attr:`mapping` in place (the only place segment arrays are
+        made; reading them is what makes pages resident)."""
         spec = self.segments.get(name)
         if spec is None:
             raise StoreFormatError(
                 f"{self.path}: no segment named {name!r}"
             )
-        return np.memmap(
-            self._file,
+        return np.ndarray(
+            spec.shape,
             dtype=np.dtype(spec.dtype),
-            mode="r",
+            buffer=self.mapping,
             offset=spec.offset,
-            shape=spec.shape,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

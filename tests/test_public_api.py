@@ -33,6 +33,13 @@ REMOVED_TOP_LEVEL = [
     "services_for_sources",
 ]
 
+#: the store's page cache and paged proxies, deleted when the backends
+#: moved onto plain read-only memory maps
+REMOVED_STORE_EXPORTS = [
+    "DEFAULT_PAGE_ROWS", "LRUPageCache", "PagedMatrix", "PagedVector",
+    "StoreSegment",
+]
+
 
 @pytest.mark.parametrize("module", sorted(API))
 def test_api_table_is_exactly_all(module):
@@ -67,6 +74,15 @@ def test_removed_alias_no_longer_imports(name):
     with pytest.raises(ImportError):
         exec(f"from repro import {name}", {})
     assert hasattr(repro.services, name)
+
+
+@pytest.mark.parametrize("name", REMOVED_STORE_EXPORTS)
+def test_removed_store_export_no_longer_imports(name):
+    import repro.store
+
+    with pytest.raises(ImportError):
+        exec(f"from repro.store import {name}", {})
+    assert name not in repro.store.__all__
 
 
 def test_unknown_top_level_attribute_still_raises():

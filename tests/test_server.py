@@ -696,8 +696,9 @@ def backend_of(db, kind, tmp_path):
     if kind.startswith("store"):
         path = tmp_path / f"{kind}.store"
         save_store(db.to_sharded(3) if kind == "store-sharded" else db, path)
-        # small pages: gathers straddle many pages of the cache
-        return open_store(path, page_rows=8)
+        # a 1-byte residency budget: the valve releases the map at
+        # every check, so queries keep faulting pages back in
+        return open_store(path, cache_bytes=1)
     if kind == "mutable":
         return MutableColumnarDatabase.from_database(db)
     return MutableShardedDatabase.from_database(db, num_shards=3)

@@ -7,12 +7,14 @@ the entire observable output must equal the scalar reference exactly:
 ranked items (objects, grades, bounds), halting reason, tie order,
 round count, the full per-list :class:`AccessStats`, and the recorded
 per-access trace events.  Floats compare with ``==``, never a
-tolerance: paging through the LRU cache must perform the same IEEE
-operations as reading the in-RAM arrays.
+tolerance: reading the memory-mapped arrays must perform the same IEEE
+operations as reading the in-RAM ones.
 
-Tiny page sizes and cache capacities are used deliberately so reads
-cross page boundaries constantly and evictions happen mid-query --
-the cache's whole contract is that none of that is observable.
+A 1-byte residency budget and 4-row gather slices are used
+deliberately, so the valve releases the map mid-query -- at chunk
+boundaries and before each slice of every gather -- and queries keep
+faulting pages back in: the valve's whole contract is that none of
+that is observable.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from repro.store import (
 
 AGGREGATIONS = [MIN, MAX, AVERAGE, SUM, PRODUCT, MEDIAN]
 STORE_SHARDS = (1, 4)
-#: tiny pages + a cache far smaller than most databases: page faults
-#: and evictions must happen mid-query without becoming observable
-PAGE_ROWS = 16
-CACHE_BYTES = 8 * 1024
+#: a residency budget every check exceeds, and gathers sliced every
+#: few rows: releases must happen mid-query without becoming observable
+CACHE_BYTES = 1
+SLICE_ROWS = 4
 
 
 def signature(result):
@@ -76,9 +78,8 @@ def store_backends(db, tmp):
         path = Path(tmp) / f"s{shards}.store"
         source = db if shards == 1 else db.to_sharded(shards)
         save_store(source, path)
-        backend = open_store(
-            path, cache_bytes=CACHE_BYTES, page_rows=PAGE_ROWS
-        )
+        backend = open_store(path, cache_bytes=CACHE_BYTES)
+        backend.page_cache.slice_rows = SLICE_ROWS
         expected = (
             StoreBackedShardedDatabase
             if shards > 1
@@ -241,9 +242,7 @@ def test_store_axis_through_query_service(tmp_path):
     db = Database.from_array(rng.random((150, 3)))
     path = tmp_path / "svc.store"
     save_store(db, path)
-    store_db = open_store(
-        path, cache_bytes=CACHE_BYTES, page_rows=PAGE_ROWS
-    )
+    store_db = open_store(path, cache_bytes=CACHE_BYTES)
 
     specs = [
         QuerySpec(algorithm="ta", aggregation="min", k=4),
@@ -271,21 +270,20 @@ def test_store_axis_through_query_service(tmp_path):
 
 def test_store_axis_concurrent_service_submissions(tmp_path):
     """Daemon --store mode: up to max_active engine workers run
-    concurrently over ONE shared page cache.  Submitting every spec at
-    once (several times over, with a tiny cache so evictions and
-    mapped-budget releases interleave across threads) must produce
-    exactly the sequential bills and results -- the cache's lock keeps
-    concurrent hits, misses, evictions and releases unobservable."""
+    concurrently over ONE shared residency valve.  Submitting every
+    spec at once (several times over, with a budget every check
+    exceeds and gathers sliced every few rows, so releases interleave
+    across threads) must produce exactly the sequential bills and
+    results -- a release under a concurrent reader only makes it fault
+    its pages back in."""
     from repro.server import QueryService, QuerySpec
 
     rng = np.random.default_rng(34)
     db = Database.from_array(rng.random((200, 3)))
     path = tmp_path / "conc.store"
     save_store(db, path)
-    store_db = open_store(
-        path, cache_bytes=CACHE_BYTES, page_rows=PAGE_ROWS
-    )
-    store_db.page_cache.mapped_budget_bytes = 1  # release constantly
+    store_db = open_store(path, cache_bytes=CACHE_BYTES)
+    store_db.page_cache.slice_rows = SLICE_ROWS
 
     specs = [
         QuerySpec(algorithm="ta", aggregation="min", k=4),
@@ -303,30 +301,50 @@ def test_store_axis_concurrent_service_submissions(tmp_path):
         got = [signature(h.result(timeout=60.0)) for h in handles]
     assert got == expected
     snap = store_db.page_cache.snapshot()
-    assert snap["cached_bytes"] == sum(
-        block.nbytes for block in store_db.page_cache._pages.values()
-    )
+    assert snap["misses"] > 0
     store_db.page_cache.release_mappings()
-    assert store_db.page_cache.snapshot()["mapped_bytes"] == 0
+    assert store_db.page_cache.snapshot()["resident_bytes"] == 0
 
 
 def test_uncharged_speculation_contract(tmp_path):
-    """Cache behaviour is uncharged speculation: running the same
-    query twice over one store backend (cold cache, then warm) leaves
-    AccessStats identical -- hits and misses never bill."""
+    """Valve behaviour is uncharged, like speculation: running the same
+    query twice over one store backend (the second run's opening check
+    releases what the first left resident, so it faults its pages in
+    afresh) leaves AccessStats identical -- checks and releases never
+    bill."""
     rng = np.random.default_rng(21)
     db = Database.from_array(rng.random((120, 3)))
     path = tmp_path / "warm.store"
     save_store(db, path)
-    backend = open_store(
-        path, cache_bytes=CACHE_BYTES, page_rows=PAGE_ROWS
-    )
+    backend = open_store(path, cache_bytes=CACHE_BYTES)
     algo = ThresholdAlgorithm()
-    cold = algo.run_on(backend, AVERAGE, 5)
-    cold_cache = backend.page_cache.snapshot()
-    warm = algo.run_on(backend, AVERAGE, 5)
-    warm_cache = backend.page_cache.snapshot()
-    assert signature(cold) == signature(warm)
-    assert warm_cache["hits"] > cold_cache["hits"]
-    # the cache moved (different hit/miss mix); the accounting did not
-    assert cold.stats == warm.stats
+    first = algo.run_on(backend, AVERAGE, 5)
+    first_valve = backend.page_cache.snapshot()
+    second = algo.run_on(backend, AVERAGE, 5)
+    second_valve = backend.page_cache.snapshot()
+    assert signature(first) == signature(second)
+    assert second_valve["misses"] > first_valve["misses"]
+    # the valve moved; the accounting did not
+    assert first.stats == second.stats
+
+
+def test_valve_fires_mid_query_on_both_store_layouts(tmp_path):
+    """Large enough that every engine crosses several chunk boundaries
+    and slices its gathers: on the plain and the sharded store the
+    valve releases the map repeatedly *within* each query, and every
+    answer -- items, tie order, AccessStats, halting -- still equals
+    the scalar reference."""
+    rng = np.random.default_rng(5)
+    db = Database.from_array(rng.random((3000, 3)))
+    for label, backend in store_backends(db, tmp_path):
+        for algo, cost_model in algorithms_for(3):
+            kwargs = {} if cost_model is None else {"cost_model": cost_model}
+            expected = signature(algo.run_on(db, AVERAGE, 10, **kwargs))
+            before = backend.page_cache.snapshot()["misses"]
+            result = algo.run_on(backend, AVERAGE, 10, **kwargs)
+            assert signature(result) == expected, (label, algo.name)
+            # more releases than the one a session makes when it opens
+            assert backend.page_cache.snapshot()["misses"] - before > 1, (
+                label,
+                algo.name,
+            )

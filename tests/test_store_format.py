@@ -9,10 +9,10 @@ v1/v2 ``.npz`` files load through the same :func:`open_store` entry
 point (fully in RAM, same results), and a future-version file is
 refused with a message saying so.
 
-The paging layer is tested for exact equivalence: every read served
-through the :class:`~repro.store.LRUPageCache` must be bit-identical
-to the plain in-RAM array, across page boundaries, strided slices,
-fancy-gather patterns, and cache evictions.
+The mapped internals are tested for exact equivalence: every array a
+store-backed database reads is a read-only view of the file's one
+memory map and must be bit-identical to the plain in-RAM array, across
+slices, projections, sliced gathers and residency-valve releases.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation import AVERAGE, MIN, SUM
-from repro.core import ThresholdAlgorithm
+from repro.core import CombinedAlgorithm, ThresholdAlgorithm
 from repro.datagen import synthetic
 from repro.middleware.database import (
     ColumnarDatabase,
@@ -40,13 +40,9 @@ from repro.middleware.errors import (
 from repro.store import (
     STORE_MAGIC,
     STORE_VERSION,
-    LRUPageCache,
-    PagedMatrix,
-    PagedVector,
     StoreBackedDatabase,
     StoreBackedShardedDatabase,
     StoreReader,
-    StoreSegment,
     StoreWriter,
     open_store,
     save_store,
@@ -415,12 +411,12 @@ class TestWriterDiscipline:
         assert open_store(path).top_k(MIN, 5) == db.top_k(MIN, 5)
 
     def test_resave_under_a_live_reader_keeps_the_old_store(self, tmp_path):
-        """A child process queries a store, paging through a cache far
+        """A child process queries a store, under a residency budget far
         smaller than the data, while the parent re-saves that path
         three times with other contents.  The writer renames a
-        complete file over the path, and the reader maps every segment
-        -- including the ones it first touches after the re-saves --
-        from the file it opened, so the child keeps reading the old
+        complete file over the path, and the reader maps the file it
+        opened, so every segment -- including the ones it first touches
+        after the re-saves -- comes from it: the child keeps reading the old
         store: same answers, clean exit -- no SIGBUS from a truncated
         mapping, no mix of old and new pages."""
         import os
@@ -472,7 +468,7 @@ from repro.aggregation import AVERAGE
 from repro.core import ThresholdAlgorithm
 from repro.store import open_store
 
-db = open_store(sys.argv[1], cache_bytes=16 * 1024, page_rows=128)
+db = open_store(sys.argv[1], cache_bytes=16 * 1024)
 first = db.top_k(AVERAGE, 5)
 print(repr(first), flush=True)
 while not os.path.exists(sys.argv[2]):
@@ -484,270 +480,369 @@ print(repr((db.top_k(AVERAGE, 5), [(i.obj, i.grade) for i in ta.items])))
 
 
 # ---------------------------------------------------------------------------
-# the page cache and the paged proxies
+# the memory-mapped internals and the residency valve
 # ---------------------------------------------------------------------------
+def _resident_bytes(path) -> int:
+    """Resident bytes of this process's mappings of the file ``path``
+    (``/proc/self/smaps``: exact per mapping, unlike the process-wide
+    counters the valve reads)."""
+    target = str(Path(path).resolve())
+    total, counting = 0, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if "-" in fields[0] and not fields[0].endswith(":"):
+                counting = len(fields) >= 6 and fields[5] == target
+            elif counting and fields[0] == "Rss:":
+                total += int(fields[1]) * 1024
+    return total
+
+
+needs_smaps = pytest.mark.skipif(
+    not Path("/proc/self/smaps").exists(),
+    reason="needs /proc/self/smaps to measure per-mapping residency",
+)
+
+
+def _uniform_store(tmp_path, n, m, shards=None, seed=3):
+    """An in-RAM columnar database of uniform grades and the store it
+    was saved to."""
+    col = ColumnarDatabase.from_array(
+        np.random.default_rng(seed).random((n, m)), validate=False
+    )
+    path = tmp_path / f"u{n}x{m}.store"
+    save_store(col if shards is None else col.to_sharded(shards), path)
+    return col, path
+
+
+#: the child of test_child_query_keeps_vmhwm_within_budget: opens a store
+#: under a residency budget, runs TA twice, and reports its VmHWM growth
+#: over the post-open baseline with the answers
+_BUDGETED_READER = """
+import json, sys
+from repro.aggregation import AVERAGE
+from repro.core import ThresholdAlgorithm
+from repro.store import open_store
+
+def hwm():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+db = open_store(sys.argv[1], cache_bytes=int(sys.argv[2]))
+baseline = hwm()
+runs = []
+for _ in range(2):
+    result = ThresholdAlgorithm().run_on(db, AVERAGE, 10)
+    runs.append([[[i.obj, i.grade] for i in result.items],
+                 result.stats.sorted_accesses, result.stats.random_accesses])
+print(json.dumps({"delta": hwm() - baseline, "runs": runs,
+                  "valve": db.page_cache.snapshot()}))
+"""
+
+
 class TestPaging:
-    def _segment(self, tmp_path, values, page_rows=8, capacity=None):
-        n = len(values)
-        db = Database.from_array(
-            np.column_stack([values, values[::-1]]).clip(0.0, 1.0)
-        )
-        path = tmp_path / "page.store"
-        save_store(db, path)
-        reader = StoreReader(path)
-        cache = LRUPageCache(
-            capacity if capacity is not None else 1 << 20, page_rows
-        )
-        return reader, cache, n
+    def test_paged_vector_matches_plain_array(self, tmp_path, db):
+        """The order vectors are demand-paged: plain read-only ndarrays
+        viewing the file's one map, with the same values, scalars and
+        slices as in RAM, and no write can reach the file."""
+        col = db.to_columnar()
+        loaded = open_store(_store(tmp_path, db))
+        for i in range(col.num_lists):
+            for stored, ref in (
+                (loaded._order_rows[i], col._order_rows[i]),
+                (loaded._order_grades[i], col._order_grades[i]),
+            ):
+                assert type(stored) is np.ndarray
+                assert stored.dtype == ref.dtype
+                assert not stored.flags.writeable
+                assert np.shares_memory(
+                    stored, np.frombuffer(loaded.reader.mapping, np.uint8)
+                )
+                assert np.array_equal(stored, ref)
+                for idx in (0, 7, 8, 63, -1):
+                    assert stored[idx] == ref[idx]
+                for sl in (slice(5, 21), slice(None, None, 3), slice(17, 17)):
+                    assert np.array_equal(stored[sl], ref[sl])
+                with pytest.raises(ValueError, match="read-only"):
+                    stored[0] = stored[1]
 
-    def test_paged_vector_matches_plain_array(self, tmp_path):
-        rng = np.random.default_rng(3)
-        values = rng.random(100)
-        reader, cache, n = self._segment(tmp_path, values)
-        vec = PagedVector(
-            StoreSegment(reader, "order_grades/0", cache), cache
-        )
-        ref = reader.memmap("order_grades/0")[:]
-        assert len(vec) == n
-        assert np.array_equal(np.asarray(vec), ref)
-        # scalars, slices across page boundaries, strides, gathers
-        for idx in (0, 7, 8, 9, 63, 99, -1, -100):
-            assert vec[idx] == ref[idx]
-        for sl in (
-            slice(0, 8), slice(5, 21), slice(0, 100), slice(90, 200),
-            slice(None, None, 3), slice(10, 90, 7), slice(17, 17),
-        ):
-            assert np.array_equal(vec[sl], ref[sl])
-        assert vec.tolist() == ref.tolist()
-        with pytest.raises(IndexError):
-            vec[100]
-        with pytest.raises(IndexError):
-            vec[-101]
-
-    def test_paged_matrix_matches_plain_array(self, tmp_path):
-        rng = np.random.default_rng(4)
-        values = rng.random(100)
-        reader, cache, n = self._segment(tmp_path, values)
-        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
-        ref = np.asarray(reader.memmap("grades"))
-        assert mat.shape == ref.shape
-        assert np.array_equal(np.asarray(mat), ref)
-        assert np.array_equal(mat[13], ref[13])
-        assert mat[13, 1] == ref[13, 1]
+    def test_paged_matrix_matches_plain_array(self, tmp_path, db):
+        """The demand-paged grade matrix, the shard windows and the run
+        triples of a sharded store are read-only views of the map,
+        equal to the in-RAM sharded twin's arrays."""
+        sharded = db.to_sharded(4)
+        loaded = open_store(_store(tmp_path, db, shards=4))
+        matrix = loaded._matrix
+        assert type(matrix) is np.ndarray and not matrix.flags.writeable
+        assert np.array_equal(matrix, sharded._matrix)
+        assert np.array_equal(matrix[13], sharded._matrix[13])
         rows = np.array([3, 99, 8, 8, 0, 42])
-        assert np.array_equal(mat[rows, 1], ref[rows, 1])
-        assert np.array_equal(mat[rows], ref[rows])
-        assert np.array_equal(mat[20:40], ref[20:40])
-        win = mat.window(30, 70)
-        assert np.array_equal(win[np.array([0, 5, 39]), 0],
-                              ref[30:70][np.array([0, 5, 39]), 0])
-        assert win[39, 1] == ref[69, 1]
+        assert np.array_equal(matrix[rows, 1], sharded._matrix[rows, 1])
+        for window, ref in zip(
+            loaded._shard_matrices, sharded._shard_matrices
+        ):
+            assert np.shares_memory(window, matrix)
+            assert np.array_equal(window, ref)
+        for stored_runs, ref_runs in zip(loaded._runs, sharded._runs):
+            for stored, ref in zip(stored_runs, ref_runs):
+                for a, b in zip(stored, ref):
+                    assert not a.flags.writeable
+                    assert np.array_equal(a, b)
+        for i in range(db.num_lists):
+            for a, b in zip(
+                loaded._merged_cache[i], sharded._merged_order(i)
+            ):
+                assert np.array_equal(a, b)
 
     def test_gathers_and_column_subsets_match_fancy_indexing(self, tmp_path):
-        """Row gathers (unsorted, repeated, spanning many pages, boolean
-        masks) through windows and column subsets equal ndarray fancy
-        indexing on the same view of the plain array."""
-        rng = np.random.default_rng(5)
-        values = rng.random(100)
-        reader, cache, n = self._segment(tmp_path, values, page_rows=8)
-        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
-        ref = np.asarray(reader.memmap("grades"))
-        rows = rng.integers(0, 40, 60)  # unsorted, with repeats
-        views = [
-            (mat, ref),
-            (mat.window(30, 70), ref[30:70]),
-            (mat.columns([1, 0]), ref[:, [1, 0]]),
-            (mat.columns([1]), ref[:, [1]]),
-            (mat.window(30, 70).columns([1, 1, 0]), ref[30:70][:, [1, 1, 0]]),
-            (mat.columns([1, 0]).columns([1]), ref[:, [0]]),
-        ]
-        for view, want in views:
-            assert view.shape == want.shape
-            assert np.array_equal(np.asarray(view), want)
-            assert np.array_equal(view[rows], want[rows])
-            mask = rng.random(len(want)) > 0.5
-            assert np.array_equal(view[mask], want[mask])
-            for j in range(want.shape[1]):
-                assert np.array_equal(view[rows, j], want[rows, j])
-                assert np.array_equal(view[mask, j], want[mask, j])
-                assert view[17, j] == want[17, j]
-            assert np.array_equal(view[17], want[17])
-            assert np.array_equal(view[5:21], want[5:21])
-            assert view[np.array([], dtype=np.intp)].shape == (0, want.shape[1])
-        with pytest.raises(IndexError):
-            mat.columns([2])
-        with pytest.raises(IndexError):
-            mat.columns([1])[0, 1]
+        """``_gather`` -- TA's speculative row gather and
+        ``random_access_batch`` -- sliced into 3-row pieces with the
+        valve before each, over projections (strided views and column
+        copies): unsorted and repeated rows equal ndarray fancy
+        indexing on the same view of the plain matrix."""
+        col, path = _uniform_store(tmp_path, 100, 4)
+        loaded = open_store(path, cache_bytes=1)
+        loaded.page_cache.slice_rows = 3
+        ref = col._matrix
+        rows = np.random.default_rng(5).integers(0, 100, 60)
+        for lists in ([0, 1, 2, 3], [1, 0], [2], [0, 2], [3, 1], [2, 0, 3]):
+            view = loaded._project(lists)
+            want = ref[:, lists]
+            assert view._valve is loaded.page_cache
+            assert np.array_equal(view._matrix, want)
+            before = loaded.page_cache.snapshot()
+            assert np.array_equal(view._gather(rows), want[rows])
+            for j in range(len(lists)):
+                assert np.array_equal(view._gather(rows, j), want[rows, j])
+            assert view._gather(rows[:0]).shape == (0, len(lists))
+            after = loaded.page_cache.snapshot()
+            # the valve ran before the slices, and released the map
+            assert after["misses"] > before["misses"]
 
     def test_boolean_mask_gathers_like_ndarray(self, tmp_path):
-        """``matrix[mask]`` is mask selection on the in-RAM backends;
-        the paged matrix must match, not reinterpret True/False as
-        rows 1/0."""
-        rng = np.random.default_rng(8)
-        values = rng.random(64)
-        reader, cache, n = self._segment(tmp_path, values)
-        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
-        ref = np.asarray(reader.memmap("grades"))
+        """The store's matrix and shard windows are real ndarrays, so
+        a boolean index is numpy's own mask selection -- never row
+        numbers 0/1 -- exactly as on the in-RAM backends."""
+        col, path = _uniform_store(tmp_path, 64, 2, shards=3)
+        loaded = open_store(path)
+        ref = col._matrix
         mask = ref[:, 0] > 0.5
-        assert np.array_equal(mat[mask], ref[mask])
-        assert np.array_equal(mat[mask, 1], ref[mask, 1])
-        empty = np.zeros(n, dtype=bool)
-        assert mat[empty].shape == (0, 2)
-        win = mat.window(10, 30)
-        wmask = mask[10:30]
-        assert np.array_equal(win[wmask], ref[10:30][wmask])
-        with pytest.raises(IndexError, match="boolean mask"):
-            mat[mask[:-1]]
+        assert np.array_equal(loaded._matrix[mask], ref[mask])
+        assert np.array_equal(loaded._matrix[mask, 1], ref[mask, 1])
+        lo, hi = (int(b) for b in loaded.shard_bounds[1:3])
+        window = loaded._shard_matrices[1]
+        assert np.array_equal(window[mask[lo:hi]], ref[lo:hi][mask[lo:hi]])
+        with pytest.raises(IndexError):
+            loaded._matrix[mask[:-1]]
 
     def test_concurrent_readers_share_one_cache(self, tmp_path):
-        """Threads hammering one small shared cache -- evictions and
-        mapped-budget releases firing constantly -- must read exact
-        data and leave the byte accounting consistent.  This is the
-        shape QueryService's engine workers run in (one cache, up to
-        max_active threads, daemon --store mode)."""
+        """Threads hammering one store whose valve releases the map at
+        every check -- sliced gathers, order slices and explicit
+        releases interleaving -- read exact data and leave the counters
+        consistent.  This is the shape QueryService's engine workers
+        run in (one valve, up to max_active threads, daemon --store
+        mode)."""
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        rng = np.random.default_rng(9)
-        values = rng.random(512)
-        page_rows = 8
-        capacity = 4 * page_rows * 2 * 8  # ~4 grade pages
-        reader, cache, n = self._segment(
-            tmp_path, values, page_rows=page_rows, capacity=capacity
-        )
-        cache.mapped_budget_bytes = 1  # release after every miss
-        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
-        vec = PagedVector(
-            StoreSegment(reader, "order_grades/0", cache), cache
-        )
-        ref_mat = np.asarray(reader.memmap("grades"))
-        ref_vec = np.asarray(reader.memmap("order_grades/0"))
+        col, path = _uniform_store(tmp_path, 512, 2)
+        loaded = open_store(path, cache_bytes=1)
+        valve = loaded.page_cache
+        valve.slice_rows = 4
+        ref_mat = col._matrix
+        ref_vec = col._order_grades[0]
 
         def hammer(seed: int) -> int:
             local = np.random.default_rng(seed)
             for _ in range(150):
-                rows = local.integers(0, n, size=16)
-                assert np.array_equal(mat[rows], ref_mat[rows])
-                assert np.array_equal(mat[rows, 1], ref_mat[rows, 1])
-                lo = int(local.integers(0, n - 9))
+                rows = local.integers(0, 512, size=16)
+                assert np.array_equal(loaded._gather(rows), ref_mat[rows])
                 assert np.array_equal(
-                    vec[lo : lo + 9], ref_vec[lo : lo + 9]
+                    loaded._gather(rows, 1), ref_mat[rows, 1]
+                )
+                lo = int(local.integers(0, 512 - 9))
+                assert np.array_equal(
+                    loaded._order_grades[0][lo : lo + 9], ref_vec[lo : lo + 9]
                 )
                 if seed % 3 == 0:
-                    cache.release_mappings()
+                    valve.release_mappings()
             return 1
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            assert sum(pool.map(hammer, range(8))) == 8
-        snap = cache.snapshot()
-        assert snap["cached_bytes"] == sum(
-            block.nbytes for block in cache._pages.values()
-        )
-        assert snap["cached_bytes"] <= capacity
-        cache.release_mappings()
-        assert cache.snapshot()["mapped_bytes"] == 0
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert sum(pool.map(hammer, range(8), timeout=120)) == 8
+        finally:
+            sys.setswitchinterval(switch)
+        snap = valve.snapshot()
+        # 8 threads x 150 iterations x 2 gathers x 4 slices, one check each
+        assert snap["hits"] + snap["misses"] == 8 * 150 * 2 * 4
+        assert snap["misses"] > 0
+        valve.release_mappings()
+        assert valve.snapshot()["resident_bytes"] == 0
 
-    def test_lru_eviction_keeps_results_exact_and_bounded(self, tmp_path):
-        rng = np.random.default_rng(5)
-        values = rng.random(256)
-        page_rows = 8
-        # room for ~4 pages of the (n, 2) float64 grades segment
-        reader, cache, n = self._segment(
-            tmp_path, values, page_rows=page_rows,
-            capacity=4 * page_rows * 2 * 8,
-        )
-        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
-        ref = np.asarray(reader.memmap("grades"))
-        order = rng.permutation(n)
-        for row in order:
-            assert mat[int(row), 0] == ref[int(row), 0]
-        for row in order[::-1]:
-            assert np.array_equal(mat[int(row)], ref[int(row)])
-        snap = cache.snapshot()
-        assert snap["evictions"] > 0
-        assert snap["cached_bytes"] <= 4 * page_rows * 2 * 8
+    @needs_smaps
+    def test_cache_snapshot_and_clear(self, tmp_path, db):
+        """The snapshot reports the budget, the map, and the valve's
+        counters; ``release_mappings`` clears the map's residency."""
+        path = _store(tmp_path, db)
+        loaded = open_store(path, cache_bytes=12345)
+        snap = loaded.page_cache.snapshot()
+        assert snap["budget_bytes"] == 12345
+        assert snap["mapped_bytes"] == path.stat().st_size
+        assert snap["hits"] == snap["misses"] == snap["evictions"] == 0
+        ThresholdAlgorithm().run_on(loaded, AVERAGE, 5)
+        snap = loaded.page_cache.snapshot()
         assert snap["hits"] + snap["misses"] > 0
+        assert _resident_bytes(path) > 0
+        assert loaded.page_cache.release_mappings() >= 0
+        assert _resident_bytes(path) == 0
+        assert loaded.page_cache.snapshot()["resident_bytes"] == 0
+        # reads still work after a release (pages fault back in)
+        assert loaded.top_k(MIN, 3) == db.to_columnar().top_k(MIN, 3)
 
-    def test_cache_snapshot_and_clear(self, tmp_path):
-        values = np.linspace(0.0, 1.0, 64)
-        reader, cache, _ = self._segment(tmp_path, values)
-        vec = PagedVector(
-            StoreSegment(reader, "order_grades/0", cache), cache
-        )
-        np.asarray(vec)
-        snap = cache.snapshot()
-        assert snap["pages"] > 0 and snap["cached_bytes"] > 0
-        cache.clear()
-        snap = cache.snapshot()
-        assert snap["pages"] == 0 and snap["cached_bytes"] == 0
-        # reads still work after a clear (pages fault back in)
-        assert vec[5] == np.linspace(0.0, 1.0, 64)[
-            np.argsort(-np.linspace(0.0, 1.0, 64), kind="stable")[5]
-        ]
-
-    def test_mapped_bytes_grow_lazily(self, tmp_path, db):
-        path = _store(tmp_path, db, shards=4)
+    @needs_smaps
+    def test_mapped_bytes_grow_lazily(self, tmp_path):
+        """Opening maps the file and makes nothing resident; one sorted
+        probe makes resident only the pages around it -- far less than
+        the file."""
+        _col, path = _uniform_store(tmp_path, 400_000, 2)
         loaded = open_store(path)
-        assert loaded.page_cache.snapshot()["mapped_bytes"] == 0
-        loaded.sorted_entry(0, 0)  # touch one list
-        mapped = loaded.page_cache.snapshot()["mapped_bytes"]
-        assert mapped > 0
-        # untouched segments stay unmapped: one sorted probe maps far
-        # less than the whole file
-        assert mapped < path.stat().st_size / 2
+        assert _resident_bytes(path) == 0
+        loaded.sorted_entry(0, 0)
+        resident = _resident_bytes(path)
+        assert 0 < resident < path.stat().st_size / 2
 
+    @needs_smaps
     def test_release_mappings_is_transparent_to_reads(self, tmp_path):
-        rng = np.random.default_rng(6)
-        values = rng.random(128)
-        reader, cache, n = self._segment(tmp_path, values)
-        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
-        ref = np.asarray(reader.memmap("grades"))
-        assert np.array_equal(mat[10:20], ref[10:20])
-        assert cache.snapshot()["mapped_bytes"] > 0
-        released = cache.release_mappings()
-        assert released > 0
-        assert cache.snapshot()["mapped_bytes"] == 0
-        # cached pages survive the release; uncached reads re-map
-        snap_before = cache.snapshot()
-        assert np.array_equal(mat[10:20], ref[10:20])
-        assert cache.snapshot()["hits"] > snap_before["hits"]
-        assert np.array_equal(mat[100:128], ref[100:128])
-        assert cache.snapshot()["mapped_bytes"] > 0
-        # idempotent when nothing is mapped
-        cache.release_mappings()
-        assert cache.release_mappings() == 0
+        """A release never invalidates what was handed out: the
+        ``SortedBatch`` rows/grades views taken before it read the same
+        values after it (a read-only shared file mapping re-faults from
+        the page cache), and later reads are exact."""
+        from repro.middleware.access import AccessSession
 
+        col, path = _uniform_store(tmp_path, 5000, 3)
+        loaded = open_store(path)
+        batch = AccessSession(loaded).sorted_access_batch(1, 700)
+        rows, grades = batch.rows, batch.grades
+        assert np.shares_memory(grades, loaded._order_grades[1])
+        copies = rows.copy(), grades.copy()
+        assert _resident_bytes(path) > 0
+        assert loaded.page_cache.release_mappings() > 0
+        assert _resident_bytes(path) == 0
+        assert np.array_equal(rows, copies[0])
+        assert np.array_equal(grades, copies[1])
+        assert np.array_equal(grades, col._order_grades[1][:700])
+        assert np.array_equal(loaded._matrix[4000:5000], col._matrix[4000:])
+        # idempotent when nothing is resident
+        loaded.page_cache.release_mappings()
+        assert loaded.page_cache.release_mappings() == 0
+
+    @needs_smaps
     def test_mapped_budget_auto_releases(self, tmp_path):
+        """After every check the store's own resident pages are within
+        budget: growth past it releases the map."""
+        col, path = _uniform_store(tmp_path, 200_000, 2)
+        budget = 256 * 1024
+        loaded = open_store(path, cache_bytes=budget)
+        valve = loaded.page_cache
         rng = np.random.default_rng(7)
-        values = rng.random(512)
-        n = len(values)
-        db = Database.from_array(
-            np.column_stack([values, values[::-1]]).clip(0.0, 1.0)
+        for _ in range(40):
+            rows = rng.integers(0, 200_000, 64)
+            assert np.array_equal(loaded._matrix[rows], col._matrix[rows])
+            valve.check()
+            assert _resident_bytes(path) <= budget
+        assert valve.snapshot()["misses"] > 0
+        assert valve.snapshot()["evictions"] > 0
+        with pytest.raises(ValueError, match="budget_bytes"):
+            open_store(path, cache_bytes=0)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM"
+    )
+    def test_child_query_keeps_vmhwm_within_budget(self, tmp_path):
+        """A fresh process querying a store ~24x its residency budget
+        keeps its peak RSS growth (VmHWM, which counts resident file
+        pages) within the budget plus a stated slack, and answers
+        bit-identically to the in-RAM run.  The slack is what the valve
+        cannot see between two checks: one gather slice (8 rows, each
+        fault mapping up to a 2 MiB folio: 16 MiB), the folios under
+        the four sorted-order cursors (8 MiB), and the engine's own
+        working set and lazy imports (8 MiB)."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        col, path = _uniform_store(tmp_path, 2_000_000, 2)
+        budget = 4 * 2**20
+        slack = 32 * 2**20
+        want = ThresholdAlgorithm().run_on(col, AVERAGE, 10)
+        del col
+        assert path.stat().st_size >= 20 * budget
+        child = subprocess.run(
+            [sys.executable, "-c", _BUDGETED_READER, str(path), str(budget)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parent.parent),
+            },
         )
-        path = tmp_path / "budget.store"
-        save_store(db, path)
-        reader = StoreReader(path)
-        # every miss is charged at least the fault granularity, so a
-        # 1-byte budget forces a release after each fresh page
-        cache = LRUPageCache(1 << 20, 8, mapped_budget_bytes=1)
-        mat = PagedMatrix(StoreSegment(reader, "grades", cache), cache)
-        ref = np.asarray(reader.memmap("grades"))
-        for row in range(0, n, 8):
-            assert np.array_equal(mat[row], ref[row])
-            assert cache.snapshot()["mapped_bytes"] == 0
-        assert np.array_equal(np.asarray(mat), ref)
-        with pytest.raises(ValueError, match="mapped_budget_bytes"):
-            LRUPageCache(1 << 20, 8, mapped_budget_bytes=0)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        expected = [
+            [[i.obj, i.grade] for i in want.items],
+            want.stats.sorted_accesses,
+            want.stats.random_accesses,
+        ]
+        assert report["runs"] == [expected, expected]
+        assert report["valve"]["misses"] > 0
+        assert report["delta"] <= budget + slack, report
 
     def test_cache_metrics_ride_the_obs_plane(self, tmp_path, db):
         from repro.obs import Observability
 
         obs = Observability()
         path = _store(tmp_path, db)
-        loaded = open_store(path, obs=obs)
-        loaded.top_k(MIN, 3)
+        loaded = open_store(path, cache_bytes=1, obs=obs)
+        ThresholdAlgorithm().run_on(loaded, AVERAGE, 5)
         rendered = obs.registry.render_prometheus()
-        assert "repro_store_page_misses_total" in rendered
-        assert "repro_store_cached_bytes" in rendered
+        assert "repro_store_valve_hits_total" in rendered
+        assert "repro_store_valve_misses_total" in rendered
+        assert "repro_store_released_pages_total" in rendered
+        assert "repro_store_resident_bytes" in rendered
+
+    def test_projection_views_arithmetic_list_sets(self, tmp_path):
+        """``_project`` over a store views the map whenever the list set
+        is an arithmetic progression -- any one or two lists, ranges,
+        reversed sets -- and copies only other sets; every projection
+        answers like an in-RAM database built from those columns."""
+        col, path = _uniform_store(tmp_path, 3000, 4)
+        loaded = open_store(path)
+        for lists, shared in (
+            ((1,), True), ((0, 2), True), ((3, 1), True), ((2, 2), False),
+            ((1, 2, 3), True), ((3, 2, 1, 0), True), ((2, 0, 3), False),
+        ):
+            view = loaded._project(lists)
+            assert np.shares_memory(view._matrix, loaded._matrix) is shared
+            assert view._matrix.flags.writeable is not shared
+            plain = ColumnarDatabase.from_array(col._matrix[:, list(lists)])
+            assert np.array_equal(view._matrix, plain._matrix)
+            for algo in (ThresholdAlgorithm(), CombinedAlgorithm()):
+                for aggregation in (MIN, AVERAGE):
+                    want = algo.run_on(plain, aggregation, 5)
+                    got = algo.run_on(view, aggregation, 5)
+                    assert [(i.obj, i.grade) for i in got.items] == [
+                        (i.obj, i.grade) for i in want.items
+                    ]
+                    assert got.stats == want.stats
 
 
 class TestValidateOption:
