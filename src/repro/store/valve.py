@@ -122,14 +122,8 @@ class ResidencyValve:
             raise ValueError(f"budget_bytes must be >= 1, got {budget_bytes}")
         self.budget_bytes = budget_bytes
         self._mapping = mapping
-        #: rows per slice of a large random gather, or ``None`` when the
-        #: whole grade matrix is no larger than what one slice's faults
-        #: could map anyway (slicing could not bound anything then)
-        self.slice_rows: int | None = max(
-            _MIN_SLICE_ROWS, budget_bytes // _FAULT_BYTES
-        )
-        if matrix_bytes <= self.slice_rows * _FAULT_BYTES:
-            self.slice_rows = None
+        rows = max(_MIN_SLICE_ROWS, budget_bytes // _FAULT_BYTES)
+        self._slice_rows = None if matrix_bytes <= rows * _FAULT_BYTES else rows
         self._lock = threading.Lock()
         self._floor = _file_resident_bytes() or 0
         self._grown = 0
@@ -158,6 +152,14 @@ class ResidencyValve:
                 help="file-backed resident growth past the valve's floor "
                 "at its last check",
             )
+
+    @property
+    def slice_rows(self) -> int | None:
+        """Rows per slice of a large random gather, derived from the
+        budget; ``None`` when the whole grade matrix is no larger than
+        what one slice's faults could map anyway (slicing could not
+        bound anything then)."""
+        return self._slice_rows
 
     def check(self) -> bool:
         """Release the map if the file-backed resident set has grown

@@ -10,8 +10,9 @@ per-access trace events.  Floats compare with ``==``, never a
 tolerance: reading the memory-mapped arrays must perform the same IEEE
 operations as reading the in-RAM ones.
 
-A 1-byte residency budget and 4-row gather slices are used
-deliberately, so the valve releases the map mid-query -- at chunk
+A 1-byte residency budget, and a fault granularity scaled down so
+gathers slice at the valve's row floor, are used deliberately, so the
+valve releases the map mid-query -- at chunk
 boundaries and before each slice of every gather -- and queries keep
 faulting pages back in: the valve's whole contract is that none of
 that is observable.
@@ -43,13 +44,24 @@ from repro.store import (
     open_store,
     save_store,
 )
+from repro.store import valve as valve_module
 
 AGGREGATIONS = [MIN, MAX, AVERAGE, SUM, PRODUCT, MEDIAN]
 STORE_SHARDS = (1, 4)
-#: a residency budget every check exceeds, and gathers sliced every
-#: few rows: releases must happen mid-query without becoming observable
+#: a residency budget every check exceeds: releases must happen
+#: mid-query without becoming observable
 CACHE_BYTES = 1
-SLICE_ROWS = 4
+#: the valve's fault granularity scaled down to these small matrices,
+#: so the budget-derived gather slicing a large store gets in
+#: production (slices of the row floor) applies to them too
+FAULT_BYTES = 16
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _small_fault_granularity():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(valve_module, "_FAULT_BYTES", FAULT_BYTES)
+        yield
 
 
 def signature(result):
@@ -79,7 +91,6 @@ def store_backends(db, tmp):
         source = db if shards == 1 else db.to_sharded(shards)
         save_store(source, path)
         backend = open_store(path, cache_bytes=CACHE_BYTES)
-        backend.page_cache.slice_rows = SLICE_ROWS
         expected = (
             StoreBackedShardedDatabase
             if shards > 1
@@ -283,7 +294,6 @@ def test_store_axis_concurrent_service_submissions(tmp_path):
     path = tmp_path / "conc.store"
     save_store(db, path)
     store_db = open_store(path, cache_bytes=CACHE_BYTES)
-    store_db.page_cache.slice_rows = SLICE_ROWS
 
     specs = [
         QuerySpec(algorithm="ta", aggregation="min", k=4),
@@ -337,6 +347,7 @@ def test_valve_fires_mid_query_on_both_store_layouts(tmp_path):
     rng = np.random.default_rng(5)
     db = Database.from_array(rng.random((3000, 3)))
     for label, backend in store_backends(db, tmp_path):
+        assert backend.page_cache.slice_rows == 8, label  # the row floor
         for algo, cost_model in algorithms_for(3):
             kwargs = {} if cost_model is None else {"cost_model": cost_model}
             expected = signature(algo.run_on(db, AVERAGE, 10, **kwargs))

@@ -47,6 +47,7 @@ from repro.store import (
     open_store,
     save_store,
 )
+from repro.store import valve as valve_module
 
 from tests.helpers import write_v2_npz
 
@@ -596,15 +597,22 @@ class TestPaging:
             ):
                 assert np.array_equal(a, b)
 
-    def test_gathers_and_column_subsets_match_fancy_indexing(self, tmp_path):
+    def test_gathers_and_column_subsets_match_fancy_indexing(
+        self, tmp_path, monkeypatch
+    ):
         """``_gather`` -- TA's speculative row gather and
-        ``random_access_batch`` -- sliced into 3-row pieces with the
-        valve before each, over projections (strided views and column
-        copies): unsorted and repeated rows equal ndarray fancy
-        indexing on the same view of the plain matrix."""
+        ``random_access_batch`` -- sliced into pieces of the valve's
+        row floor with the valve before each, over projections
+        (strided views and column copies): unsorted and repeated rows
+        equal ndarray fancy indexing on the same view of the plain
+        matrix.  A matrix this small is not sliced at the real fault
+        granularity; scaled down to it, the same budget-derived rule
+        slices it."""
         col, path = _uniform_store(tmp_path, 100, 4)
+        assert open_store(path, cache_bytes=1).page_cache.slice_rows is None
+        monkeypatch.setattr(valve_module, "_FAULT_BYTES", 16)
         loaded = open_store(path, cache_bytes=1)
-        loaded.page_cache.slice_rows = 3
+        assert loaded.page_cache.slice_rows == 8
         ref = col._matrix
         rows = np.random.default_rng(5).integers(0, 100, 60)
         for lists in ([0, 1, 2, 3], [1, 0], [2], [0, 2], [3, 1], [2, 0, 3]):
@@ -637,7 +645,7 @@ class TestPaging:
         with pytest.raises(IndexError):
             loaded._matrix[mask[:-1]]
 
-    def test_concurrent_readers_share_one_cache(self, tmp_path):
+    def test_concurrent_readers_share_one_cache(self, tmp_path, monkeypatch):
         """Threads hammering one store whose valve releases the map at
         every check -- sliced gathers, order slices and explicit
         releases interleaving -- read exact data and leave the counters
@@ -647,17 +655,18 @@ class TestPaging:
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
+        monkeypatch.setattr(valve_module, "_FAULT_BYTES", 16)
         col, path = _uniform_store(tmp_path, 512, 2)
         loaded = open_store(path, cache_bytes=1)
         valve = loaded.page_cache
-        valve.slice_rows = 4
+        assert valve.slice_rows == 8
         ref_mat = col._matrix
         ref_vec = col._order_grades[0]
 
         def hammer(seed: int) -> int:
             local = np.random.default_rng(seed)
             for _ in range(150):
-                rows = local.integers(0, 512, size=16)
+                rows = local.integers(0, 512, size=32)
                 assert np.array_equal(loaded._gather(rows), ref_mat[rows])
                 assert np.array_equal(
                     loaded._gather(rows, 1), ref_mat[rows, 1]
