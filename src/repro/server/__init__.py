@@ -24,8 +24,8 @@ asyncio event loop, with per-query billing.
   :class:`QueryServer` / :class:`QueryServiceClient`: the service over
   real sockets on the :class:`~repro.transport.frames.FrameServer`
   chassis.  ``python -m repro.server`` is the one daemon: the same
-  port serves the database's sorted lists (the source ops of
-  :mod:`repro.transport.server`) and whole queries.
+  port serves the database's sorted lists (the source ops, read
+  straight from the database) and whole queries.
 
 The parity contract (enforced by ``tests/test_server.py``): every
 query of a concurrent mix -- any engine, any k, overlapping or

@@ -20,13 +20,13 @@ queries -- :class:`~repro.server.QueryServiceClient`), which run the
 columnar engines directly on the database, or as the paper's sorted
 lists (the ``meta``/``page``/``random``/``run_page`` source ops --
 :func:`~repro.services.network.network_services`,
-:func:`~repro.services.network.network_shard_runs`), served by one
-simulated source per list plus the per-shard run grid when the store
-is sharded, built on first use.  ``--latency`` / ``--jitter`` /
-``--latency-seed`` give those source ops a seeded server-side latency
-model; queries never pay it.  SIGTERM is graceful: stop accepting,
-drain in-flight requests (bounded by ``--drain-timeout``), tear down
-the service, exit 0.
+:func:`~repro.services.network.network_shard_runs`), answered by
+slicing the store's sorted orders (and, when the store is sharded,
+its per-shard runs) at op time -- nothing is built.  ``--latency`` /
+``--jitter`` / ``--latency-seed`` give those source ops a seeded
+server-side latency model; queries never pay it.  SIGTERM is
+graceful: stop accepting, drain in-flight requests (bounded by
+``--drain-timeout``), tear down the service, exit 0.
 
 ``--max-active`` / ``--max-queued`` set the admission policy.
 

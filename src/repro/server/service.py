@@ -27,10 +27,13 @@ cooperatively on a single asyncio loop.  The moving parts:
   untouched -- each query's
   :class:`~repro.services.session.SharedScanSession` charges exactly
   the prefix *it* consumed.
-* **Exported sources**: a ``database=`` service also serves its lists
-  as simulated sources over the wire (the ``page``/``random``/
-  ``run_page`` ops), built on the first such op after the database
-  changed and carrying the ``latency``/``failures``/``retry`` models.
+* **Source ops**: a ``database=`` service also serves its lists over
+  the wire (the ``page``/``random``/``run_page`` ops of
+  :class:`~repro.server.wire.QueryServer`), read at op time straight
+  from the database's current columnar snapshot -- nothing is copied,
+  and a write has nothing to rebuild.  The ``latency``/``failures``/
+  ``retry`` models run once per op, through one endpoint per list and
+  one per (list, shard run).
 * **Billing** (:class:`~repro.middleware.cost.BillingLedger`): every
   terminal query -- completed, failed, or cancelled -- posts a
   :class:`~repro.middleware.cost.QueryBill`; the paper's middleware
@@ -90,14 +93,14 @@ from ..middleware.errors import (
 from ..middleware.mutable import MutableDatabase
 from ..obs import NULL_INSTRUMENT, Observability
 from ..views import LiveView, ViewEvent
-from ..services.assemble import services_for_database, shard_run_services
+from ..services.assemble import _per_list
 from ..services.protocol import RemoteGradedSource
 from ..services.session import SharedScanSession
 from ..services.simulated import (
     FailureModel,
     LatencyModel,
     RetryPolicy,
-    ShardRunService,
+    _SimulatedEndpoint,
 )
 from .scancache import ScanCache
 from .scheduler import Scheduler
@@ -456,9 +459,13 @@ class QueryService:
         objects, in list order, queried through the scan cache.
     database:
         Or a local database: queries run the columnar engines on it
-        directly, and it is exported over the wire as simulated
-        sources carrying the optional ``latency``/``failures``/
-        ``retry`` models (which configure those sources only).
+        directly, and the source ops serve its lists, with the
+        optional ``latency``/``failures``/``retry`` models (one model,
+        or one per list) applied to those ops only.  The models' state
+        lives as long as the service: one endpoint per list and one
+        per (list, shard run), never rebuilt by a write, so a
+        :class:`~repro.services.simulated.FailureModel` script's call
+        index counts that endpoint's calls since the service started.
     admission:
         :class:`~repro.middleware.cost.AdmissionPolicy`; defaults to 4
         active / 256 queued / no default budget.
@@ -511,13 +518,13 @@ class QueryService:
                 "pass exactly one of services= or database="
             )
         self._database = database
+        #: ``database=``: the source ops' (latency, failures, retry)
+        #: models, their endpoints (see :meth:`_endpoint`), and the run
+        #: triples ``run_page`` serves with the database version they
+        #: were read at
         self._source_models = (latency, failures, retry)
-        #: ``database=``: the exported sources and the database version
-        #: they were built at (built on demand, see :attr:`sources`)
-        self._exported: tuple[
-            list[RemoteGradedSource], list[list[ShardRunService]]
-        ] | None = None
-        self._exported_version: int | None = None
+        self._endpoints: dict[tuple[int, int | None], _SimulatedEndpoint] = {}
+        self._runs: tuple[int, list[list[tuple]]] | None = None
         self._services: list[RemoteGradedSource] = []
         self._num_objects = 0
         if database is not None:
@@ -666,39 +673,10 @@ class QueryService:
     def admission(self) -> AdmissionPolicy:
         return self._admission
 
-    @property
-    def sources(
-        self,
-    ) -> tuple[list[RemoteGradedSource], list[list[ShardRunService]]]:
-        """The per-list sources and ``[list][shard]`` run grid this
-        service exports over the wire: simulated sources over
-        ``database=`` carrying the service's latency/failure/retry
-        models (the grid is empty unless the database is sharded), and
-        none for caller-supplied ``services=``.
-
-        Sources snapshot the lists they serve, so they are built here,
-        on first use after the database changed -- queries never need
-        them, and a write never pays for them."""
-        db = self._database
-        if db is None:
-            return [], []
-        version = self.mutable.version if self.mutable is not None else 0
-        if self._exported is None or self._exported_version != version:
-            latency, failures, retry = self._source_models
-            models = {"latency": latency, "failures": failures, "retry": retry}
-            self._exported = (
-                list(services_for_database(db, **models)),
-                shard_run_services(db, **models)
-                if isinstance(db, ShardedDatabase)
-                else [],
-            )
-            self._exported_version = version
-        return self._exported
-
     def source_meta(self) -> tuple[list[dict], list[list[int]]]:
-        """The ``sources`` and ``runs`` entries of the ``meta`` wire op
-        for :attr:`sources`, read off the database without building
-        them."""
+        """The ``sources`` and ``runs`` entries of the ``meta`` wire op,
+        read off the database (none for caller-supplied
+        ``services=``)."""
         db = self._database
         if db is None:
             return [], []
@@ -707,15 +685,45 @@ class QueryService:
             {"name": f"list-{i}", "n": n, "sorted": True, "random": True}
             for i in range(db.num_lists)
         ]
-        runs = (
-            [
-                [len(run[0]) for run in db.list_runs(i)]
-                for i in range(db.num_lists)
-            ]
-            if isinstance(db, ShardedDatabase)
-            else []
-        )
+        runs = [[len(run[0]) for run in row] for row in self._source_runs()]
         return sources, runs
+
+    def _source_runs(self) -> list[list[tuple]]:
+        """The ``[list][run]`` ``(rows, grades, ties)`` triples the
+        ``run_page`` op serves: a sharded database's per-shard runs (a
+        mutable one's live segments, read once per version), none
+        for any other database."""
+        db = self._database
+        if not isinstance(db, ShardedDatabase):
+            return []
+        version = self.mutable.version if self.mutable is not None else 0
+        if self._runs is None or self._runs[0] != version:
+            self._runs = (
+                version, [db.list_runs(i) for i in range(db.num_lists)]
+            )
+        return self._runs[1]
+
+    def _endpoint(
+        self, list_index: int, run: int | None = None
+    ) -> _SimulatedEndpoint:
+        """The source-op endpoint of list ``list_index`` (or of its
+        shard run ``run``), made on its first op with the list's
+        models -- a service that serves no source op makes none."""
+        endpoint = self._endpoints.get((list_index, run))
+        if endpoint is None:
+            name = f"list-{list_index}"
+            if run is not None:
+                name += f"/shard-{run}"
+            m = self.num_lists
+            latency, failures, retry = self._source_models
+            endpoint = _SimulatedEndpoint(
+                name,
+                _per_list(latency, m, "latency")[list_index],
+                _per_list(failures, m, "failure")[list_index],
+                _per_list(retry, m, "retry")[list_index],
+            )
+            self._endpoints[list_index, run] = endpoint
+        return endpoint
 
     @property
     def database(self) -> Database | None:
@@ -1368,8 +1376,8 @@ class QueryService:
         is serialised against query execution: admission pauses, the
         active set drains, the mutation applies (standing views update
         synchronously here, firing their deltas), and subsequent
-        queries read the new contents (the exported sources follow on
-        their next use).  Returns ``{"version", "n"}``.
+        queries and source ops read the new contents.  Returns
+        ``{"version", "n"}``.
         """
         db = self._require_mutable()
         if self._draining:

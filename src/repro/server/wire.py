@@ -2,9 +2,8 @@
 
 :class:`QueryServer` mounts a :class:`~repro.server.service.QueryService`
 on the :class:`~repro.transport.frames.FrameServer` chassis, so remote
-clients submit whole top-k *queries* over the same length-prefixed
-frame protocol that :class:`~repro.transport.server.GradedSourceServer`
-uses for raw source reads.  Ops:
+clients submit whole top-k *queries* -- and read the paper's sorted
+lists themselves -- over the length-prefixed frame protocol.  Ops:
 
 ``query``
     ``{"spec": {...}}`` -> ``{"query": id}``.  Admission errors travel
@@ -23,16 +22,31 @@ uses for raw source reads.  Ops:
     both keys, and v1 clients ignore them -- the codec is
     unknown-field tolerant in both directions.
 ``page`` / ``random`` / ``run_page``
-    The source ops of :mod:`repro.transport.server`, answered by the
-    same :func:`~repro.transport.server.serve_source_op` over the
-    sources a ``database=`` service exports
-    (:attr:`~repro.server.service.QueryService.sources`, built on the
-    first such op after the database changed) -- so one daemon serves
-    both the lists (``network_services``) and the queries, and
-    ``meta`` carries the union of both key sets (read off the
-    database: ``meta`` builds no sources).  A service over
-    caller-supplied ``services=`` exports no sources: ``meta`` lists
-    none, and the source ops fail with ``error="unavailable"``.
+    The source ops, for ``database=`` services
+    (:func:`~repro.services.network.network_services`,
+    :func:`~repro.services.network.network_shard_runs`), all stateless
+    reads answered straight from the database's current columnar
+    snapshot -- so one daemon serves both the lists and the queries:
+
+    * ``{"src": i, "start": p, "count": c}`` -> entries ``[p, p + c)``
+      of list ``i``'s sorted order, ``{"objects": [...], "grades":
+      float64 array}`` (clients keep their own cursors);
+    * ``{"src": i, "ids": [...]}`` -> ``{"grades": float64 array}``,
+      positionally, through the store's valve-checked gather;
+    * ``{"list": i, "shard": s, "start": p, "count": c}`` -> ``{"rows",
+      "grades", "ties"}`` slices of that shard run of a sharded
+      database.
+
+    A negative ``start``, a ``count`` below 1, an out-of-range list or
+    shard, and a page whose grades alone could not fit one frame are
+    refused as ``bad_request`` before anything is read.  The service's
+    latency/failure/retry models run once per op, server-side, and
+    their failures travel back as error frames the client re-raises
+    as the in-process error types.  ``meta`` carries the union of the
+    source keys (``sources``, ``runs``) and the service keys.  A
+    service over caller-supplied ``services=`` serves no lists:
+    ``meta`` lists none, and the other source ops fail with
+    ``error="unavailable"``.
 ``subscribe`` / ``view_events`` / ``unsubscribe`` / ``mutate``
     Protocol v2, mutable-backed services only: register a standing
     query (``{"spec": {..., "mode": "view"}}`` -> ``{"view": id,
@@ -62,6 +76,7 @@ from __future__ import annotations
 import asyncio
 
 from ..middleware.access import AccessStats
+from ..middleware.database import ColumnarDatabase
 from ..middleware.errors import (
     AdmissionError,
     QueryCancelledError,
@@ -72,7 +87,6 @@ from ..middleware.errors import (
 )
 from ..core.result import RankedItem, TopKResult
 from ..transport.frames import BASE_ERROR_CODES, FrameConnection, FrameServer
-from ..transport.server import SOURCE_OPS, serve_source_op
 from .service import ALGORITHMS, AGGREGATIONS, QueryService, QuerySpec
 
 __all__ = [
@@ -89,6 +103,9 @@ __all__ = [
 #: feature absence, never to frame errors.
 PROTOCOL_VERSION = 2
 
+
+#: the ops that read the service's lists (see the module docstring)
+SOURCE_OPS = frozenset({"meta", "page", "random", "run_page"})
 
 #: extras value types that survive the trip (everything else is
 #: server-side engine state and is dropped from wire results)
@@ -180,6 +197,23 @@ def decode_result(data: dict) -> TopKResult:
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise WireFormatError(f"malformed result payload: {exc!r}") from exc
+
+
+def _index(value, size: int, what: str) -> int:
+    index = int(value)
+    if not 0 <= index < size:
+        raise WireFormatError(
+            f"{what} index {index} out of range (serving {size})"
+        )
+    return index
+
+
+def _check_valve(db: ColumnarDatabase) -> None:
+    """Run a store's residency valve before a source op reads its map
+    (the engines run it at every chunk boundary; in-RAM databases have
+    none)."""
+    if db._valve is not None:
+        db._valve.check()
 
 
 #: how long one ``result`` long-poll waits server-side before replying
@@ -297,25 +331,75 @@ class QueryServer(FrameServer):
         raise WireFormatError(f"unknown op {op!r}")
 
     async def _source_op(self, message) -> dict:
-        if message["op"] == "meta":
-            reply = await serve_source_op(message, [], [])
-            reply["sources"], reply["runs"] = self._service.source_meta()
-            reply.update(
-                m=self._service.num_lists,
-                n=self._service.num_objects,
-                algorithms=sorted(ALGORITHMS),
-                aggregations=sorted(AGGREGATIONS),
-                protocol=PROTOCOL_VERSION,
-                mutable=self._service.mutable is not None,
-            )
-            return reply
-        sources, run_grid = self._service.sources
-        if not sources:
+        service = self._service
+        op = message["op"]
+        if op == "meta":
+            sources, runs = service.source_meta()
+            return {
+                "sources": sources,
+                "runs": runs,
+                "compression": "zlib",
+                "m": service.num_lists,
+                "n": service.num_objects,
+                "algorithms": sorted(ALGORITHMS),
+                "aggregations": sorted(AGGREGATIONS),
+                "protocol": PROTOCOL_VERSION,
+                "mutable": service.mutable is not None,
+            }
+        columnar = service._columnar
+        if columnar is None:
             raise ServiceUnavailableError(
                 "this query service runs over caller-supplied services "
-                "and exports no sources"
+                "and serves no lists"
             )
-        return await serve_source_op(message, sources, run_grid)
+        if op == "run_page":
+            runs = service._source_runs()
+            i = _index(message["list"], len(runs), "run list")
+            s = _index(message["shard"], len(runs[i]), "run shard")
+            rows, grades, ties = runs[i][s]
+            start, stop = self._window(message, len(rows))
+            await service._endpoint(i, s)._call()
+            _check_valve(columnar)
+            return {
+                "rows": rows[start:stop],
+                "grades": grades[start:stop],
+                "ties": ties[start:stop],
+            }
+        i = _index(message["src"], service.num_lists, "source")
+        if op == "page":
+            start, stop = self._window(message, service.num_objects)
+            db = columnar._speculation_store()
+            await service._endpoint(i)._call()
+            _check_valve(db)
+            return {
+                "objects": db.ids_for_rows(db._order_rows[i][start:stop]),
+                "grades": db._order_grades[i][start:stop],
+            }
+        ids = message["ids"]
+        if not isinstance(ids, list):
+            raise WireFormatError("'ids' must be a list")
+        db = columnar._speculation_store()
+        await service._endpoint(i)._call()
+        return {"grades": db._gather(db.rows_for(ids), i)}
+
+    def _window(self, message, length: int) -> tuple[int, int]:
+        """The ``[start, stop)`` slice a ``page``/``run_page`` asks
+        for, clamped to ``length`` -- refused before anything is read
+        when it is negative or empty (a negative slice would serve from
+        the end of the list), or when its grades alone (8 bytes an
+        entry) could not fit one frame."""
+        start, count = int(message["start"]), int(message["count"])
+        if start < 0:
+            raise ValueError(f"start must be >= 0, got {start}")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        stop = min(start + count, length)
+        if (stop - start) * 8 > self._max_frame:
+            raise WireFormatError(
+                f"a page of {stop - start} entries cannot fit one "
+                f"{self._max_frame}-byte frame"
+            )
+        return start, stop
 
     def _error_response(self, rid, exc: BaseException) -> dict:
         response = super()._error_response(rid, exc)

@@ -89,7 +89,6 @@ def services_for_database(
     failures: FailureModel | Sequence[FailureModel | None] | None = None,
     retry: RetryPolicy | Sequence[RetryPolicy | None] | None = None,
     capabilities: Sequence[ListCapabilities] | None = None,
-    names: Sequence[str] | None = None,
 ) -> list[SimulatedListService]:
     """One simulated service per list of ``db``, streaming that list's
     exact sorted order (tie placement included)."""
@@ -98,8 +97,6 @@ def services_for_database(
     lat = _per_list(latency, m, "latency")
     fail = _per_list(failures, m, "failure")
     ret = _per_list(retry, m, "retry")
-    if names is not None and len(names) != m:
-        raise DatabaseError(f"got {len(names)} names for m={m} lists")
     services: list[SimulatedListService] = []
     for i in range(m):
         entries = [db.sorted_entry(i, pos) for pos in range(n)]
@@ -110,7 +107,7 @@ def services_for_database(
         )
         services.append(
             SimulatedListService(
-                names[i] if names is not None else f"list-{i}",
+                f"list-{i}",
                 entries,
                 supports_sorted=caps.sorted_allowed,
                 supports_random=caps.random_allowed,

@@ -3,8 +3,9 @@
 :func:`~repro.services.assemble.shard_run_services`.
 
 Where the simulated factories wrap *local data* as services, these
-connect to a running :class:`~repro.transport.server.GradedSourceServer`
-(in this process, another process, or another machine) and return
+connect to a running :class:`~repro.server.wire.QueryServer` over a
+database -- the ``python -m repro.server`` daemon, in this process,
+another process, or another machine -- and return
 sources satisfying the very same contracts -- so
 :class:`~repro.services.session.AsyncAccessSession`,
 :func:`~repro.services.assemble.assemble_remote_database` and

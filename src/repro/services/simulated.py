@@ -189,9 +189,10 @@ class RetryPolicy:
 
 class _SimulatedEndpoint:
     """Shared latency / failure / retry plumbing of the simulated
-    services.  Each network-shaped operation calls :meth:`_call` once
-    per page or batch; the method sleeps, consults the failure model,
-    and retries retryable failures within the policy."""
+    services and of the query server's source ops.  Each
+    network-shaped operation calls :meth:`_call` once per page or
+    batch; the method sleeps, consults the failure model, and retries
+    retryable failures within the policy."""
 
     def __init__(
         self,
@@ -416,25 +417,6 @@ class ShardRunService(_SimulatedEndpoint):
                 self._ties[position:stop],
             )
             position = stop
-
-    async def run_page(
-        self, start: int, count: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One *stateless* page of the run: ``(rows, grades, ties)``
-        slices covering ``[start, start + count)``, one service call
-        (the wire-protocol twin of :meth:`run_stream`; see
-        :meth:`SimulatedListService.page`)."""
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        await self._call()
-        stop = min(start + count, len(self._rows))
-        return (
-            self._rows[start:stop],
-            self._grades[start:stop],
-            self._ties[start:stop],
-        )
 
     async def fetch_run(
         self, batch_size: int

@@ -7,14 +7,11 @@ paper's deployment shape: the ``m`` autonomous subsystems live in
 other processes, and every sorted page and random-access probe is
 serialized, framed, and shipped over a TCP socket.
 
-* :mod:`repro.transport.server` --
-  :class:`GradedSourceServer` / :func:`serve_sources`: an asyncio TCP
-  server exporting graded sources (and per-shard run grids) over the
-  length-prefixed frame protocol, with per-connection request
-  multiplexing.  Its source ops have one implementation,
-  ``serve_source_op``, which the query daemon (``python -m
-  repro.server``) answers too: one process serves the lists and the
-  queries over them.
+* the server side is the one daemon, ``python -m repro.server``: its
+  :class:`~repro.server.wire.QueryServer` answers the source ops
+  (``meta``/``page``/``random``/``run_page``) straight from the
+  database it serves queries over, on the :class:`FrameServer`
+  chassis of :mod:`repro.transport.frames`.
 * :mod:`repro.transport.client` -- :class:`TransportClient` (pooled
   multiplexed connections, connection-failure retry, error-taxonomy
   mapping), :class:`NetworkGradedSource` (a real
@@ -40,13 +37,10 @@ to the same run over in-process simulated services.
 from .client import NetworkGradedSource, NetworkRunSource, TransportClient
 from .frames import FrameConnection, FrameServer
 from .harness import ServerProcess
-from .server import GradedSourceServer, serve_sources
 
 __all__ = [
     "FrameServer",
     "FrameConnection",
-    "GradedSourceServer",
-    "serve_sources",
     "TransportClient",
     "NetworkGradedSource",
     "NetworkRunSource",

@@ -2,7 +2,8 @@
 
 :class:`NetworkGradedSource` implements the
 :class:`~repro.services.protocol.RemoteGradedSource` protocol against
-a :class:`~repro.transport.server.GradedSourceServer`, so everything
+the ``python -m repro.server`` daemon's source ops (any
+:class:`~repro.server.wire.QueryServer` over a database), so everything
 built on that protocol -- :class:`~repro.services.session.AsyncAccessSession`,
 :func:`~repro.services.assemble.assemble_remote_database`,
 :func:`~repro.services.assemble.drain_columns` -- runs across a real
@@ -198,7 +199,7 @@ class TransportClient:
     Parameters
     ----------
     host, port:
-        The server's bound address (``GradedSourceServer.address``).
+        The server's bound address (``QueryServer.address``).
     retry:
         Budget for *connection-level* failures (see the module
         docstring); defaults to 3 attempts, no backoff.

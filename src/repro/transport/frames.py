@@ -7,13 +7,11 @@ background-thread modes), per-connection read loops, one-task-per-
 request dispatch, the ``max_concurrent`` backpressure gate, graceful
 ``drain()``, and the error-frame encoding.  Subclasses implement
 ``_dispatch`` (and may extend the wire error-code table or observe
-connection teardown):
-
-* :class:`~repro.transport.server.GradedSourceServer` serves stateless
-  source reads (pages, random probes, shard runs);
-* :class:`~repro.server.wire.QueryServer` serves whole top-k *queries*
-  (submit/result/cancel), where per-connection state matters: a
-  client that disconnects abandons its in-flight queries.
+connection teardown).  :class:`~repro.server.wire.QueryServer` is the
+one in the library: it serves stateless source reads (pages, random
+probes, shard runs) and whole top-k *queries* (submit/result/cancel),
+where per-connection state matters: a client that disconnects abandons
+its in-flight queries.
 
 Protocol recap: every request and response is one frame (4-byte
 little-endian payload length + one tagged binary message, a ``dict``).

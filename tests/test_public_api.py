@@ -40,6 +40,10 @@ REMOVED_STORE_EXPORTS = [
     "StoreSegment",
 ]
 
+#: the second source server, deleted when the query daemon began
+#: answering the source ops straight from its database
+REMOVED_TRANSPORT_EXPORTS = ["GradedSourceServer", "serve_sources"]
+
 
 @pytest.mark.parametrize("module", sorted(API))
 def test_api_table_is_exactly_all(module):
@@ -83,6 +87,15 @@ def test_removed_store_export_no_longer_imports(name):
     with pytest.raises(ImportError):
         exec(f"from repro.store import {name}", {})
     assert name not in repro.store.__all__
+
+
+@pytest.mark.parametrize("name", REMOVED_TRANSPORT_EXPORTS)
+def test_removed_transport_export_no_longer_imports(name):
+    import repro.transport
+
+    with pytest.raises(ImportError):
+        exec(f"from repro.transport import {name}", {})
+    assert name not in repro.transport.__all__
 
 
 def test_unknown_top_level_attribute_still_raises():

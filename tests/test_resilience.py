@@ -72,7 +72,8 @@ from repro.services import (
     network_services,
     services_for_database,
 )
-from repro.transport import ServerProcess, serve_sources
+from repro.server import QueryServer, QueryService
+from repro.transport import ServerProcess
 
 from tests.helpers import result_signature, run_async
 
@@ -783,9 +784,8 @@ class TestServerHardening:
         """Eight simultaneous slow requests against a cap of two: all
         succeed, but the server never holds more than two in flight --
         the backpressure loop simply stops reading frames."""
-        with serve_sources(
-            db, latency=LatencyModel(base=0.05), max_concurrent=2
-        ) as server:
+        service = QueryService(database=db, latency=LatencyModel(base=0.05))
+        with QueryServer(service, max_concurrent=2).start_in_thread() as server:
             pages = run_async(_concurrent_pages(server.address, 8))
             assert all(
                 list(zip(p.objects, p.grades))
@@ -795,15 +795,14 @@ class TestServerHardening:
             assert server.peak_inflight <= 2
 
     def test_uncapped_server_runs_wide_open(self, db):
-        with serve_sources(
-            db, latency=LatencyModel(base=0.05)
-        ) as server:
+        service = QueryService(database=db, latency=LatencyModel(base=0.05))
+        with QueryServer(service).start_in_thread() as server:
             run_async(_concurrent_pages(server.address, 8))
             assert server.peak_inflight > 2
 
     def test_max_concurrent_validation(self, db):
         with pytest.raises(DatabaseError):
-            serve_sources(db, max_concurrent=0)
+            QueryServer(QueryService(database=db), max_concurrent=0)
 
     def test_sigterm_drains_inflight_request(self, db):
         """SIGTERM while a slow request is in flight: the response

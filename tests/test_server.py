@@ -830,12 +830,11 @@ class TestDirectDatabasePath:
             trace = obs.tracer.find(handles[0].query_id)
             assert trace.probe.total_cost == handles[0].bill().middleware_cost
 
-    def test_sources_are_built_on_demand(self):
-        """The exported sources follow the database lazily: ``meta``
-        and mutations build nothing, the first source op after a
-        change builds them, and they serve the new contents."""
+    def test_source_ops_follow_every_write(self):
+        """The source ops read the database's current snapshot: after
+        each insert, update and delete, ``page`` serves the new
+        contents and ``meta``/``run_page`` the new runs."""
         from repro.services import network_client
-        from repro.transport.server import serve_source_op
 
         rng = np.random.default_rng(5)
         mutable = MutableShardedDatabase.from_array(
@@ -860,29 +859,42 @@ class TestDirectDatabasePath:
                 )
                 return list(zip(reply["objects"], reply["grades"].tolist()))
 
+            async def runs(i):
+                meta = await client.fetch_metadata()
+                served = []
+                for s, length in enumerate(meta["runs"][i]):
+                    reply = await client.request(
+                        {
+                            "op": "run_page",
+                            "list": i,
+                            "shard": s,
+                            "start": 0,
+                            "count": length + 1,
+                        }
+                    )
+                    served.append(
+                        [reply[key].tolist() for key in ("rows", "grades", "ties")]
+                    )
+                return served
+
+            def want_runs(i):
+                return [
+                    [part.tolist() for part in run]
+                    for run in mutable.list_runs(i)
+                ]
+
             async def go():
                 try:
-                    meta = await client.fetch_metadata()
-                    assert service._exported is None
-                    service.mutate("insert", 99, grades=[0.5, 0.5, 0.5])
-                    assert await client.fetch_metadata() != meta
-                    assert service._exported is None
                     assert await page(2) == column(2)
-                    built = service._exported
-                    assert built is not None
-                    sources, runs = service.source_meta()
-                    reply = await serve_source_op({"op": "meta"}, *built)
-                    assert (reply["sources"], reply["runs"]) == (
-                        sources, runs
-                    )
-                    assert await page(1) == column(1)
-                    assert service._exported is built  # still current
-                    service.mutate("update", 4, list_index=0, grade=1.0)
-                    service.mutate("delete", 11)
-                    await client.fetch_metadata()
-                    assert service._exported is built  # stale, unbuilt
-                    assert await page(0) == column(0)
-                    assert service._exported is not built
+                    for action, obj, kwargs in (
+                        ("insert", 99, {"grades": [0.5, 0.5, 0.5]}),
+                        ("update", 4, {"list_index": 0, "grade": 1.0}),
+                        ("delete", 11, {}),
+                    ):
+                        service.mutate(action, obj, **kwargs)
+                        for i in range(3):
+                            assert await page(i) == column(i)
+                            assert await runs(i) == want_runs(i)
                 finally:
                     await client.aclose()
 

@@ -16,6 +16,11 @@ atexit registry; see ``repro.transport.harness``).
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +35,13 @@ from repro.core import (
 )
 from repro.middleware import (
     AccessSession,
+    ColumnarDatabase,
     Database,
-    DatabaseError,
     ListCapabilities,
+    MutableColumnarDatabase,
+    RemoteServiceError,
     ServiceTimeoutError,
+    ServiceTransientError,
     ServiceUnavailableError,
     UnknownObjectError,
 )
@@ -50,15 +58,16 @@ from repro.services import (
     network_shard_runs,
     services_for_database,
 )
-from repro.middleware.sources import GradedSource
-from repro.server import QueryService, QueryServiceClient, QuerySpec
-from repro.transport import (
-    GradedSourceServer,
-    ServerProcess,
-    serve_sources,
+from repro.server import (
+    QueryServer,
+    QueryService,
+    QueryServiceClient,
+    QuerySpec,
 )
+from repro.store import save_store
+from repro.transport import FrameServer, ServerProcess
 
-from tests.helpers import result_signature, stats_tuple
+from tests.helpers import result_signature, run_async, stats_tuple
 
 pytestmark = pytest.mark.async_services
 
@@ -69,9 +78,16 @@ def db():
     return Database.from_array(rng.integers(0, 10, (60, 3)) / 9.0)
 
 
+def serve(database, **models) -> QueryServer:
+    """An in-thread query server over ``database``: its source ops
+    serve the lists, with ``models`` (latency/failures/retry)."""
+    service = QueryService(database=database, **models)
+    return QueryServer(service).start_in_thread()
+
+
 @pytest.fixture(scope="module")
 def server(db):
-    with serve_sources(db.to_sharded(2)) as handle:
+    with serve(db.to_sharded(2)) as handle:
         yield handle
 
 
@@ -195,15 +211,25 @@ class TestInThreadServer:
                 session.random_access(0, "nope")
             assert session.random_accesses == 0
 
-    def test_capability_flags_travel(self, db):
-        sources = [
-            GradedSource("s0", [("x", 0.9), ("y", 0.1)]),
-            GradedSource("s1", [("y", 0.8), ("x", 0.2)],
-                         supports_random=False),
-        ]
-        with serve_sources(sources) as handle:
+    def test_capability_flags_travel(self):
+        """The client reads each list's name and sorted/random flags
+        off the ``meta`` manifest."""
+
+        class Manifest(FrameServer):
+            async def _dispatch(self, message, conn):
+                assert message["op"] == "meta"
+                return {
+                    "sources": [
+                        {"name": name, "n": 2, "sorted": True, "random": rand}
+                        for name, rand in (("s0", True), ("s1", False))
+                    ],
+                    "runs": [],
+                }
+
+        with Manifest().start_in_thread() as handle:
             remote = network_services(handle.address)
             assert [s.name for s in remote] == ["s0", "s1"]
+            assert [s.num_entries for s in remote] == [2, 2]
             assert remote[0].capabilities() == ListCapabilities()
             assert remote[1].capabilities() == ListCapabilities(
                 random_allowed=False
@@ -213,7 +239,7 @@ class TestInThreadServer:
         """A scripted failure on the serving source surfaces over the
         wire as the exact in-process error type, with the exact
         in-process charging (the failed access never charges)."""
-        services = services_for_database(
+        with serve(
             db,
             failures=[
                 FailureModel(script={1: "timeout", 2: "timeout"}),
@@ -221,8 +247,7 @@ class TestInThreadServer:
                 None,
             ],
             retry=RetryPolicy(max_attempts=2),
-        )
-        with serve_sources(services) as handle:
+        ) as handle:
             with AsyncAccessSession(
                 network_services(handle.address),
                 batch_size=4,
@@ -237,6 +262,37 @@ class TestInThreadServer:
                 # a later retry by the caller charges exactly once
                 assert session.random_access(0, obj) == db.grade(obj, 0)
                 assert session.random_accesses == 1
+
+    def test_failure_script_counts_calls_across_writes(self):
+        """The source ops' models live as long as the service: a write
+        does not reset them, so a scripted failure fires at its call
+        index counted from service start."""
+        mutable = MutableColumnarDatabase.from_array(
+            np.random.default_rng(4).random((20, 2))
+        )
+        with serve(
+            mutable,
+            failures=FailureModel(script={1: "transient"}),
+            retry=RetryPolicy(max_attempts=1),
+        ) as server:
+            service = server.service
+            client = network_client(server.address)
+
+            async def go():
+                try:
+                    source = (await client.sources())[0]
+                    assert len((await source.page(0, 5)).objects) == 5
+                    service.mutate("insert", 99, grades=[1.0, 1.0])
+                    with pytest.raises(ServiceTransientError):
+                        await source.page(0, 5)  # call 1, after the write
+                    page = await source.page(0, 5)
+                    assert page.objects[0] == 99
+                finally:
+                    await client.aclose()
+
+            run_async(go())
+        assert service._endpoint(0).calls == 3
+        assert service._endpoint(0).failed_attempts == 1
 
     def test_shard_runs_merge_bit_identically(self, db, server):
         sharded = db.to_sharded(2)
@@ -254,12 +310,12 @@ class TestInThreadServer:
                 )
 
     def test_flat_database_exports_no_runs(self, db):
-        with serve_sources(db) as handle:
+        with serve(db) as handle:
             assert network_shard_runs(handle.address) == []
 
     def test_refusing_connection_is_unavailable(self, db, server):
         host, _ = server.address
-        with serve_sources(db) as scratch:
+        with serve(db) as scratch:
             free_port = scratch.address[1]
         # the scratch server is down; its port now refuses connections
         dead = network_client((host, free_port))
@@ -270,9 +326,163 @@ class TestInThreadServer:
         with pytest.raises(ServiceUnavailableError):
             asyncio.run(probe())
 
-    def test_nothing_to_serve_fails_loudly(self):
-        with pytest.raises(DatabaseError):
-            GradedSourceServer(())
+
+class TestHostileSourceOps:
+    """Malformed source ops come back as ``bad_request`` error frames,
+    refused before the op's service call (so before any read), and
+    the connection keeps serving."""
+
+    def test_refused_before_any_read(self):
+        col = ColumnarDatabase.from_array(
+            np.random.default_rng(8).random((200, 2))
+        )
+        service = QueryService(database=col.to_sharded(2))
+        # a full list (200 grades, 1600 bytes) or a full shard run (100
+        # grades, 800 bytes) cannot fit one 512-byte frame
+        server = QueryServer(service, max_frame=512).start_in_thread()
+        hostile = [
+            {"op": "page", "src": 0, "start": -1, "count": 4},
+            {"op": "page", "src": 0, "start": 0, "count": 0},
+            {"op": "page", "src": 2, "start": 0, "count": 4},
+            {"op": "page", "src": -1, "start": 0, "count": 4},
+            {"op": "page", "src": 0, "start": 0, "count": 200},
+            {"op": "random", "src": 2, "ids": [0]},
+            {"op": "random", "src": 0, "ids": "0"},
+            {"op": "run_page", "list": 0, "shard": 0, "start": -1,
+             "count": 4},
+            {"op": "run_page", "list": 0, "shard": 0, "start": 0,
+             "count": 0},
+            {"op": "run_page", "list": 2, "shard": 0, "start": 0,
+             "count": 4},
+            {"op": "run_page", "list": 0, "shard": 2, "start": 0,
+             "count": 4},
+            {"op": "run_page", "list": 1, "shard": 1, "start": 0,
+             "count": 10**9},
+        ]
+        client = network_client(server.address)
+
+        async def go():
+            try:
+                for message in hostile:
+                    with pytest.raises(RemoteServiceError, match="bad_request"):
+                        await client.request(message)
+                # the same connection serves on; a huge count clamped
+                # to the list's tail fits
+                reply = await client.request(
+                    {"op": "page", "src": 1, "start": 196, "count": 10**9}
+                )
+                rows = col._order_rows[1][196:]
+                assert reply["objects"] == rows.tolist()
+                assert reply["grades"].tolist() == col._matrix[rows, 1].tolist()
+                reply = await client.request(
+                    {"op": "run_page", "list": 0, "shard": 1, "start": 0,
+                     "count": 3}
+                )
+                run = col.to_sharded(2).list_runs(0)[1]
+                assert reply["rows"].tolist() == run[0][:3].tolist()
+                assert len(server._connections) == 1
+            finally:
+                await client.aclose()
+
+        with server:
+            run_async(go())
+        # only the two served ops made (and called) an endpoint
+        assert list(service._endpoints) == [(1, None), (0, 1)]
+        assert [e.calls for e in service._endpoints.values()] == [1, 1]
+
+
+def _vmhwm(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmHWM line")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads VmHWM"
+)
+def test_daemon_source_ops_keep_vmhwm_within_budget(tmp_path):
+    """The daemon answers source ops straight from its store: over a
+    sharded store ~23x its residency budget, the first ``page`` answers
+    at once (no per-list copy is built), a TA query through
+    ``network_services`` plus ``random`` and ``run_page`` ops answer
+    bit-identically to the in-RAM database, and the daemon's peak RSS
+    (VmHWM, which counts resident file pages) grows by at most the
+    budget plus a stated slack.  The slack is what the valve cannot
+    see between two checks: one gather slice (8 rows, each fault
+    mapping up to a 2 MiB folio: 16 MiB), the folios under one page
+    of the sorted orders and runs (8 MiB), and the serving loop's own
+    buffers and lazy imports (8 MiB)."""
+    import repro
+
+    col = ColumnarDatabase.from_array(
+        np.random.default_rng(3).random((1_000_000, 2)), validate=False
+    )
+    sharded = col.to_sharded(2)
+    path = tmp_path / "big.store"
+    save_store(sharded, path)
+    budget = 4 * 2**20
+    slack = 32 * 2**20
+    assert path.stat().st_size >= 20 * budget
+    want = ThresholdAlgorithm().run_on(col, AVERAGE, 10)
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro.server", "--store", str(path),
+         "--port", "0", "--store-cache-mb", "4"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).parent.parent),
+        },
+    )
+    try:
+        assert daemon.stdout is not None
+        banner = daemon.stdout.readline().split()
+        assert banner[0] == "LISTENING", banner
+        address = (banner[1], int(banner[2]))
+        baseline = _vmhwm(daemon.pid)
+        client = network_client(address)
+        rng = np.random.default_rng(9)
+        ids = rng.integers(0, col.num_objects, 64).tolist()
+
+        async def ops():
+            try:
+                start = time.perf_counter()
+                page = await client.request(
+                    {"op": "page", "src": 0, "start": 0, "count": 64}
+                )
+                first_page_s = time.perf_counter() - start
+                rows = col._order_rows[0][:64]
+                assert page["objects"] == rows.tolist()
+                assert np.array_equal(page["grades"], col._matrix[rows, 0])
+                grades = await client.request(
+                    {"op": "random", "src": 1, "ids": ids}
+                )
+                assert np.array_equal(grades["grades"], col._matrix[ids, 1])
+                for i in range(2):
+                    for s, run in enumerate(sharded.list_runs(i)):
+                        at = len(run[0]) - 100
+                        reply = await client.request(
+                            {"op": "run_page", "list": i, "shard": s,
+                             "start": at, "count": 64}
+                        )
+                        for key, part in zip(("rows", "grades", "ties"), run):
+                            assert np.array_equal(reply[key], part[at:at + 64])
+                return first_page_s
+            finally:
+                await client.aclose()
+
+        assert run_async(ops()) < 1.0
+        with AsyncAccessSession(network_services(address)) as session:
+            got = ThresholdAlgorithm().run(session, AVERAGE, 10)
+        assert result_signature(got) == result_signature(want)
+        growth = _vmhwm(daemon.pid) - baseline
+        assert growth <= budget + slack, growth
+    finally:
+        daemon.terminate()
+        daemon.wait(timeout=10)
+        daemon.stdout.close()
 
 
 class TestSubprocessDifferential:
