@@ -26,7 +26,7 @@ Execution backends: on a columnar session
 a *speculative chunked engine* that is bit-for-bit equivalent to the
 scalar reference loop (differential-tested: same top-k, same halting
 round and reason, same access accounting).  The design is the
-speculate -> replay -> charge-prefix scheme NRA uses, with the paper's
+speculate -> replay -> charge scheme NRA uses, with the paper's
 per-``h``-rounds random-access phase spliced into the replay:
 
 speculate
@@ -39,22 +39,28 @@ replay
     ingest the rounds in scalar order against an
     :class:`~repro.core.bounds.ArrayCandidateStore`.  At every global
     round divisible by ``h`` the phase runs *on the real store*: the
-    ``B``-greedy target comes from the same lazy-heap scan
+    ``B``-greedy target is the one the scalar loop's lazy-heap scan
     (:meth:`~repro.core.bounds.CandidateStore.best_random_access_target`)
-    the scalar loop uses -- tie order included -- because the target
-    choice, not just the halting round, decides which random accesses
-    the paper's algorithm pays for (the Theorem 8.9 cost ratio counts
-    exactly these).  The consumed sorted prefix is charged *before* the
-    phase's random accesses, preserving scalar charging order and the
-    no-wild-guess certificate of Theorem 6.1; the resolution then
-    replays the scalar per-field ``record`` sequence
+    picks -- tie order included -- because the target choice, not just
+    the halting round, decides which random accesses the paper's
+    algorithm pays for (the Theorem 8.9 cost ratio counts exactly
+    these).  The phase is speculated like the sorted entries: the
+    target's missing grades are read from the uncharged view and the
+    phase joins the chunk's schedule.  The resolution then replays the
+    scalar per-field ``record`` sequence
     (:meth:`~repro.core.bounds.ArrayCandidateStore.resolve_row_fields`),
     and later sorted re-discoveries of the resolved object are
     suppressed exactly where the scalar ``record`` is a no-op.
-charge prefix
+charge
     halting (NRA's rule, Theorem 8.4 applied as in Section 8.2) is
-    located by the replay and only the consumed prefix is charged
-    through the session's batched access methods.
+    located by the replay, and one
+    :meth:`~repro.middleware.access.AccessSession.charge_schedule` call
+    per chunk charges the consumed sorted prefix with the phases'
+    random accesses spliced in at their rounds -- the scalar loop's
+    charging order, so each target's sorted appearance is realised
+    before its random accesses (the no-wild-guess certificate of
+    Theorem 6.1) and a failing check raises with the scalar loop's
+    partial accounting.
 
 Three decision-neutral gates keep the sequential part small, inherited
 from NRA (sound because ``M_k`` never decreases while every ``B`` is
@@ -215,12 +221,15 @@ class CombinedAlgorithm(TopKAlgorithm):
 
         Differences from NRA's replay: at every global round divisible
         by ``h`` the random-access phase executes against the live
-        store state (fields synced, bottoms set), charging the
-        speculated sorted prefix first so the accounting -- including
-        wild-guess certification -- interleaves exactly as the scalar
-        loop's does; resolved objects join ``resolved`` so their later
-        sorted re-discoveries are skipped (scalar ``record`` no-ops);
-        and the witness is dropped if a phase resolves it.
+        store state (fields synced, bottoms set), reading the target's
+        missing grades from the uncharged view and appending
+        ``(round, target, missing lists)`` to the chunk's phase
+        schedule, which the commit charges in one call, interleaved
+        with the sorted prefix exactly as the scalar loop's accounting
+        (wild-guess certification included); resolved objects join
+        ``resolved`` so their later sorted re-discoveries are skipped
+        (scalar ``record`` no-ops); and the witness is dropped if a
+        phase resolves it.
         """
         db = session.columnar_view()
         order_rows = db._order_rows
@@ -324,6 +333,9 @@ class CombinedAlgorithm(TopKAlgorithm):
             # phase candidate array as the replay reaches their rounds
             new_rows_chunk = chunk.rows[new_entries]
             absorbed = 0
+            # (round, target row, missing lists) of this chunk's phases,
+            # charged at commit
+            phases: list[tuple[int, int, list[int]]] = []
             # ---- lazy-store floors (sound: M_k never decreases) ----
             if len(mk_members) < k:
                 w_keep = b_keep = None
@@ -390,74 +402,69 @@ class CombinedAlgorithm(TopKAlgorithm):
                             [cand_b, b_arr[new_entries[absorbed:upto_new]]]
                         )
                         absorbed = upto_new
+                    # a bound at or below M_k never clears it again
+                    keep = cand_b > m_k
+                    if not keep.all():
+                        cand = cand[keep]
+                        cand_b = cand_b[keep]
                     target = None
                     if cand.size:
                         evaluated = np.zeros(cand.size, dtype=bool)
                         has_missing = np.zeros(cand.size, dtype=bool)
                         best_b = m_k
-                        while True:
-                            mask = (
-                                ~evaluated
-                                & (cand_b > m_k)
-                                & (cand_b >= best_b)
-                            )
-                            idxs = np.nonzero(mask)[0]
-                            if idxs.size == 0:
-                                break
+                        bott_col = bott[r][:, None]
+                        # every candidate clears M_k: the first pool
+                        idxs = np.arange(cand.size)
+                        while idxs.size:
+                            # the block is the pool's 256 highest cached
+                            # bounds; every other bound is <= the pivot
+                            pivot = -np.inf
                             if idxs.size > 256:
-                                idxs = idxs[
-                                    np.argpartition(-cand_b[idxs], 255)[
-                                        :256
-                                    ]
-                                ]
-                            sub = field_matrix[cand[idxs]]
+                                cut = idxs.size - 256
+                                part = np.argpartition(cand_b[idxs], cut)
+                                pivot = cand_b[idxs[part[cut]]]
+                                idxs = idxs[part[cut:]]
+                            # column-major block: one contiguous row per
+                            # list, so the bottoms fill and the missing
+                            # test run along the lists' columns
+                            sub = field_matrix.take(cand[idxs], axis=0).T.copy()
                             unknown_c = np.isnan(sub)
-                            fresh = aggregation.aggregate_batch(
-                                np.where(unknown_c, bott[r], sub)
-                            )
+                            np.copyto(sub, bott_col, where=unknown_c)
+                            fresh = aggregation.aggregate_batch(sub.T)
                             store.b_evaluations += idxs.size
                             cand_b[idxs] = fresh
                             evaluated[idxs] = True
-                            miss = unknown_c.any(axis=1)
+                            miss = np.logical_or.reduce(unknown_c, axis=0)
                             has_missing[idxs] = miss
-                            good = miss & (fresh > m_k)
-                            if good.any():
-                                mx = fresh[good].max()
-                                if mx > best_b:
-                                    best_b = mx
+                            mx = fresh[miss].max(initial=-np.inf)
+                            if mx > best_b:
+                                best_b = mx
+                            if pivot < best_b:
+                                break
+                            idxs = np.nonzero(
+                                ~evaluated & (cand_b >= best_b)
+                            )[0]
                         if best_b > m_k:
-                            sel = (
-                                evaluated
-                                & has_missing
-                                & (cand_b == best_b)
-                            )
+                            # has_missing marks evaluated rows only
+                            sel = has_missing & (cand_b == best_b)
                             first = int(np.nonzero(sel)[0][0])
                             target = int(cand[first])
                             missing = np.nonzero(
                                 np.isnan(field_matrix[target])
                             )[0].tolist()
-                        keep = cand_b > m_k
-                        if not keep.all():
-                            cand = cand[keep]
-                            cand_b = cand_b[keep]
                     if target is None:
                         escape_clauses += 1
                     else:
                         random_phases += 1
-                        # scalar charging order: the consumed sorted
-                        # prefix lands before the phase's randoms, and
-                        # the wild-guess certificate needs the target's
-                        # sorted appearance realised first
-                        rep.charge_sorted(session, positions, r + 1)
-                        row_arr = np.asarray([target], dtype=np.intp)
-                        fetched = [
-                            float(
-                                session.random_access_batch(
-                                    j, None, rows=row_arr
-                                )[0]
-                            )
-                            for j in missing
-                        ]
+                        # speculated like the sorted entries: the grades
+                        # come from the uncharged view, and the commit
+                        # charges the phase after the sorted prefix of
+                        # its first r + 1 rounds
+                        grades_t = db._gather(
+                            np.asarray([target], dtype=np.intp)
+                        )[0].tolist()
+                        fetched = [grades_t[j] for j in missing]
+                        phases.append((r + 1, target, missing))
                         store._seq = seq
                         store.resolve_row_fields(target, missing, fetched)
                         seq = store._seq
@@ -513,7 +520,7 @@ class CombinedAlgorithm(TopKAlgorithm):
                 cand_b = np.concatenate(
                     [cand_b, b_arr[new_entries[absorbed:upto_new]]]
                 )
-            rep.commit(session, positions, consumed)
+            rep.commit(session, positions, consumed, phases)
             rounds += consumed
             if probe is not None and consumed:
                 taus = tuple(float(t) for t in tau_list[:consumed])

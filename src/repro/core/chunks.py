@@ -18,7 +18,9 @@ uncharged columnar view.  The delicate conventions live here, once:
   after round ``r``.
 
 The engines must charge whatever prefix of the chunk they consume via
-the session's batched access methods; nothing here touches accounting.
+the session's batched access methods; only :meth:`ChunkReplay.commit`
+touches accounting, with one
+:meth:`~repro.middleware.access.AccessSession.charge_schedule` call.
 
 Besides assembly, this module holds the per-entry derivations the
 bound-based engines (NRA, CA, Stream-Combine) share: the mid-round
@@ -319,14 +321,13 @@ class ChunkReplay:
     duplicate: the vectorised derivations (per-entry ``W`` and cached
     ``B``, per-round thresholds and bottoms, the cumulative new-seen
     counts), the lazy field-matrix sync, the witness-bound trajectory
-    plumbing, the incremental charging of the consumed sorted prefix,
-    and the end-of-chunk commit.  The engine-specific parts -- lazy-heap
-    floors, CA's random-access phases, the halting-check bodies -- stay
-    in the engines.
+    plumbing, and the end-of-chunk commit with its one charging call.
+    The engine-specific parts -- lazy-heap floors, CA's random-access
+    phases, the halting-check bodies -- stay in the engines.
 
     The engines all run lockstep over every list (``sorted_lists =
     range(m)``, one entry per list per round), which is what
-    :meth:`charge_sorted` assumes; TA's engine (arbitrary list subsets
+    :meth:`commit`'s charge assumes; TA's engine (arbitrary list subsets
     and batch sizes) keeps its own charging.
     """
 
@@ -356,7 +357,6 @@ class ChunkReplay:
         "_seen_rows",
         "_bottoms",
         "_synced",
-        "_charged_rounds",
     )
 
     def __init__(
@@ -403,7 +403,6 @@ class ChunkReplay:
         self._seen_rows = seen_rows
         self._bottoms = bottoms
         self._synced = 0
-        self._charged_rounds = 0
 
     def sync_fields(self, upto: int) -> None:
         """Scatter entries ``< upto`` into the store's field matrix
@@ -436,29 +435,18 @@ class ChunkReplay:
 
         return witness.bound_at(r, compute)
 
-    def charge_sorted(self, session, positions, upto_rounds: int) -> None:
-        """Charge the consumed sorted prefix through ``upto_rounds``
-        rounds, incrementally: only the delta beyond what this chunk
-        already charged is issued, in list order -- the scalar loops'
-        exact charging order (CA calls this before each phase's random
-        accesses; the commit charges whatever remains)."""
-        if upto_rounds > self._charged_rounds:
-            counts = self.chunk.counts
-            charged = self._charged_rounds
-            for i in range(len(counts)):
-                c_new = min(upto_rounds, counts[i])
-                c_old = min(charged, counts[i])
-                if c_new > c_old:
-                    session.sorted_access_batch(i, c_new - c_old)
-                    positions[i] += c_new - c_old
-            self._charged_rounds = upto_rounds
-
-    def commit(self, session, positions, consumed: int) -> int:
+    def commit(self, session, positions, consumed: int, phases=()) -> int:
         """End-of-chunk bookkeeping once the replay fixed the number of
-        ``consumed`` rounds: field scatter, seen set and count, the
-        per-entry ``b_evaluations`` accounting, the caller's bottoms,
-        and the remaining sorted charges.  Returns the number of entries
-        consumed."""
+        ``consumed`` rounds: the chunk's charges -- the consumed sorted
+        prefix with CA's speculated random-access ``phases`` spliced in
+        (see :meth:`~repro.middleware.access.AccessSession.charge_schedule`)
+        -- and the caller's positions, then the field scatter, seen set
+        and count, the per-entry ``b_evaluations`` accounting and the
+        caller's bottoms.  Returns the number of entries consumed."""
+        counts = self.chunk.counts
+        session.charge_schedule(counts, phases, consumed)
+        for i, c in enumerate(counts):
+            positions[i] += min(consumed, c)
         upto = self.chunk.consumed_upto(consumed)
         self.sync_fields(upto)
         self._seen_rows[self.rows_all[:upto]] = True
@@ -467,5 +455,4 @@ class ChunkReplay:
         )
         self._store.b_evaluations += upto
         self._bottoms[:] = self.bott_rows[consumed - 1]
-        self.charge_sorted(session, positions, consumed)
         return upto

@@ -20,7 +20,7 @@ Batched access plane
 --------------------
 
 The scalar methods (:meth:`AccessSession.sorted_access`,
-:meth:`AccessSession.random_access`) charge one access per call.  Three
+:meth:`AccessSession.random_access`) charge one access per call.  Four
 batched methods amortise the Python-level cost of the paper's inner
 loops **without changing the cost accounting in any way**:
 
@@ -33,7 +33,10 @@ loops **without changing the cost accounting in any way**:
   lockstep round of NRA/CA), charging one access per entry returned;
 * :meth:`AccessSession.random_access_batch` fetches the grades of many
   objects from one list and charges ``len(objects)`` accesses --
-  including repeats, exactly like the scalar method.
+  including repeats, exactly like the scalar method;
+* :meth:`AccessSession.charge_schedule` charges one speculated chunk of
+  lockstep rounds together with the random-access phases spliced into
+  it (CA's), in the scalar loop's order, in one call.
 
 Semantics are identical to issuing the equivalent scalar calls in
 order: per-list counters, depth, wild-guess certification (a batch that
@@ -41,7 +44,8 @@ hits a wild guess charges the accesses *before* the offending object,
 then raises, just as a scalar loop would have), capability checks and
 trace recording are all preserved.  On the scalar backend the batch
 methods fall back to the scalar loop (so the scalar plane's event
-stream is byte-identical regardless); when the database is a
+stream is byte-identical regardless; ``charge_schedule``, whose phases
+name columnar rows, serves only the fast path); when the database is a
 :class:`~repro.middleware.database.ColumnarDatabase` they instead serve
 array slices and fancy-indexed gathers in O(1) Python operations per
 batch, recording one *batch-granularity*
@@ -319,6 +323,7 @@ class AccessSession:
         Returns ``(object, grade)`` or ``None`` once the list is exhausted
         (exhaustion is free; only returned entries are charged).
         """
+        self._check_open()
         self._check_list(list_index)
         if not self._capabilities[list_index].sorted_allowed:
             raise CapabilityError("sorted", list_index)
@@ -352,6 +357,7 @@ class AccessSession:
         Every call is charged, including repeats for the same pair -- the
         bounded-buffer TA of Section 4 relies on exactly that behaviour.
         """
+        self._check_open()
         self._check_list(list_index)
         if not self._capabilities[list_index].random_allowed:
             raise CapabilityError("random", list_index)
@@ -419,6 +425,7 @@ class AccessSession:
         overruns the end of the list returns only the remaining entries
         (possibly zero), and exhaustion itself stays free of charge.
         """
+        self._check_open()
         if n < 0:
             raise ValueError(f"batch size must be >= 0, got {n}")
         self._check_list(list_index)
@@ -437,12 +444,19 @@ class AccessSession:
             return SortedBatch(
                 list_index, objects, np.asarray(grades, dtype=np.float64)
             )
-        position = self._positions[list_index]
-        count = min(n, db.num_objects - position)
+        count = min(n, db.num_objects - self._positions[list_index])
         if count <= 0:
             return SortedBatch(
                 list_index, [], np.empty(0, dtype=np.float64), None
             )
+        rows, grades, objects = self._take_sorted(db, list_index, count)
+        return SortedBatch(list_index, objects, grades, rows)
+
+    def _take_sorted(self, db: ColumnarDatabase, list_index: int, count: int):
+        """Charge the next ``count`` (> 0, in range) entries of list
+        ``list_index`` on the columnar fast path; returns their rows,
+        grades and object ids."""
+        position = self._positions[list_index]
         rows = db._order_rows[list_index][position : position + count]
         grades = db._order_grades[list_index][position : position + count]
         # the slice views the database's own arrays; freeze it so a
@@ -464,7 +478,7 @@ class AccessSession:
                     self.middleware_cost,
                 )
             )
-        return SortedBatch(list_index, objects, grades, rows)
+        return rows, grades, objects
 
     def sorted_access_round(self) -> RoundBatch:
         """One sorted access on every sorted-capable, non-exhausted list,
@@ -477,6 +491,7 @@ class AccessSession:
         batched loop remains the simplest correct way to amortise the
         scalar methods without taking on the speculation contract.
         """
+        self._check_open()
         db = self._columnar
         if db is None:
             lists: list[int] = []
@@ -564,6 +579,7 @@ class AccessSession:
         already served), then :class:`WildGuessError` is raised --
         exactly the accounting of the equivalent scalar loop.
         """
+        self._check_open()
         self._check_list(list_index)
         if not self._capabilities[list_index].random_allowed:
             raise CapabilityError("random", list_index)
@@ -633,6 +649,101 @@ class AccessSession:
                 )
             )
         return grades
+
+    def charge_schedule(
+        self,
+        counts: Sequence[int],
+        phases: Sequence[tuple[int, int, Sequence[int]]],
+        consumed: int,
+    ) -> None:
+        """Charge one speculated chunk of lockstep rounds, with the
+        random-access phases spliced into it, in one call.
+
+        List ``i`` contributes one sorted entry per round, ``counts[i]``
+        at most (fewer once it nears its end).  Each phase ``(round,
+        row, lists)``, in round order, random-accesses the object at
+        columnar row ``row`` on each of ``lists`` after the chunk's
+        first ``round`` rounds.  The call charges, in order: the sorted
+        prefix up to each phase, list by list; that phase's random
+        accesses; and finally the rest of the first ``consumed``
+        rounds.  That is the scalar lockstep loop's charging order, so
+        the no-wild-guess certificate sees each target's sorted
+        appearance before its random accesses.  Only a trace and the
+        certificate can observe that order; without either, each
+        list's sorted prefix is charged as one run, and the final
+        accounting is the same.
+
+        The checks are those of the calls it replaces, each made before
+        the access it guards is charged: the cancellation hook, the
+        list range, sorted capability on every list (a list that
+        refuses it raises in the schedule's first round, after the
+        lists before it took theirs, as the lockstep loop does), random
+        capability and the wild-guess certificate per random access.
+        A check that fails raises with exactly the prefix before it
+        charged.  With a trace, each per-list sorted run records one
+        :class:`~repro.middleware.trace.BatchAccessEvent` and each
+        random access another -- what ``sorted_access_batch`` and
+        ``random_access_batch`` would have recorded.  Columnar fast
+        path only (:attr:`supports_batches`).
+        """
+        self._check_open()
+        db = self._columnar
+        if db is None:
+            raise ValueError("charge_schedule needs the columnar fast path")
+        caps = self._capabilities
+        for i in range(len(counts)):
+            self._check_list(i)
+            if consumed and not caps[i].sorted_allowed:
+                # the lockstep loop refuses in the first round, after
+                # the lists before it took their entries
+                self._charge_rounds(db, counts[:i], 0, 1)
+                raise CapabilityError("sorted", i)
+        trace = self.trace
+        # a trace (event order) and the certificate (the seen set) see
+        # the sorted prefix of each phase realised before its randoms;
+        # with neither, the randoms commute with the sorted charges,
+        # which then come as one run per list
+        exact = trace is not None or self._forbid_wild_guesses
+        random_by_list = self._random_by_list
+        charged = 0
+        for upto, row, lists in phases:
+            if exact:
+                charged = self._charge_rounds(db, counts, charged, upto)
+                obj = db.ids_for_rows(np.asarray([row], dtype=np.intp))[0]
+            for j in lists:
+                if not (0 <= j < len(caps) and caps[j].random_allowed):
+                    # the lockstep loop charged the phase's sorted
+                    # prefix before it met the refusal
+                    self._charge_rounds(db, counts, charged, upto)
+                    self._check_list(j)
+                    raise CapabilityError("random", j)
+                if self._forbid_wild_guesses and obj not in self._seen_sorted:
+                    raise WildGuessError(obj, j)
+                random_by_list[j] += 1
+                if trace is not None:
+                    grade = db._gather(np.asarray([row], dtype=np.intp), j)
+                    trace.record(
+                        BatchAccessEvent(
+                            RANDOM,
+                            j,
+                            (obj,),
+                            tuple(grade.tolist()),
+                            -1,
+                            self.middleware_cost,
+                        )
+                    )
+        self._charge_rounds(db, counts, charged, consumed)
+
+    def _charge_rounds(
+        self, db: ColumnarDatabase, counts: Sequence[int], done: int, upto: int
+    ) -> int:
+        """Charge a schedule's lockstep rounds ``done`` to ``upto``, list
+        by list; returns the number of rounds now charged."""
+        for i, c in enumerate(counts):
+            n = min(upto, c) - min(done, c)
+            if n > 0:
+                self._take_sorted(db, i, n)
+        return max(done, upto)
 
     # ------------------------------------------------------------------
     # cursor state
@@ -725,6 +836,11 @@ class AccessSession:
             depth=self.depth,
             distinct_objects_seen=len(self._seen_sorted),
         )
+
+    def _check_open(self) -> None:
+        """Hook called by every charging method before it charges
+        anything; cancellable sessions raise here so a dead query
+        charges nothing further."""
 
     def _check_list(self, list_index: int) -> None:
         if not (0 <= list_index < self._db.num_lists):

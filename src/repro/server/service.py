@@ -320,7 +320,7 @@ class _QueryState:
 
 class _DirectSession(AccessSession):
     """A plain :class:`~repro.middleware.access.AccessSession` that
-    :meth:`cancel` stops at its next charged access: the cancelled
+    :meth:`cancel` stops at its next charging call: the cancelled
     query raises :class:`QueryCancelledError` before anything more is
     charged, as a :class:`~repro.services.session.SharedScanSession`
     does, so its bill is exactly the prefix it had consumed."""
@@ -339,26 +339,6 @@ class _DirectSession(AccessSession):
     def _check_open(self) -> None:
         if self._cancelled:
             raise QueryCancelledError(self._query_id)
-
-    def sorted_access(self, list_index: int):
-        self._check_open()
-        return super().sorted_access(list_index)
-
-    def random_access(self, list_index: int, obj) -> float:
-        self._check_open()
-        return super().random_access(list_index, obj)
-
-    def sorted_access_batch(self, list_index: int, n: int):
-        self._check_open()
-        return super().sorted_access_batch(list_index, n)
-
-    def sorted_access_round(self):
-        self._check_open()
-        return super().sorted_access_round()
-
-    def random_access_batch(self, list_index: int, objects, rows=None):
-        self._check_open()
-        return super().random_access_batch(list_index, objects, rows)
 
 
 class _ViewState:

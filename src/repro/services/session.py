@@ -199,18 +199,14 @@ class ServiceSession(AccessSession):
         on exhaustion, or raise."""
         raise NotImplementedError
 
-    def _check_open(self) -> None:
-        """Hook called before every access; cancellable sessions raise
-        here so a dead query charges nothing further."""
-
     # -- random-access bridging ----------------------------------------
     def _bridge_random(self, i: int, objects: list) -> list[float]:
         """Bridge one ``random_access_batch`` service round trip onto
         the loop and wait for it (uncharged; charging is the caller's
-        job).  Gated on ``_check_open`` so *every* random path -- the
-        facade's single probe included -- fails before anything is
-        served (hence before anything is charged) on a dead query."""
-        self._check_open()
+        job).  Its callers -- the facade's single probe, reached from
+        :meth:`~repro.middleware.access.AccessSession.random_access`,
+        and :meth:`random_access_batch` -- have run ``_check_open``
+        first, so a dead query fails before anything is served."""
         future = asyncio.run_coroutine_threadsafe(
             self._services[i].random_access_batch(objects),
             self._service_loop,
@@ -770,9 +766,9 @@ class SharedScanSession(ServiceSession):
         lists only grow (grades published before objects), so once
         ``len(objects) > position`` both are readable without the
         lock; the shared producer is asked for more only when this
-        reader nears the frontier.
+        reader nears the frontier.  The cancellation check before the
+        read is :meth:`~repro.middleware.access.AccessSession.sorted_access`'s.
         """
-        self._check_open()
         scan = self._scans[i]
         objects = scan.objects
         if position < len(objects):

@@ -6,9 +6,13 @@ capability refusals, trace-recording fallback).
 The ``TestCombinedAlgorithmPhaseAccounting`` class covers the charging
 edges of CA's chunked random-access phase: ``h`` boundaries relative to
 the halting round, interleaving with the no-wild-guess certificate, and
-the footnote-15 escape clause (empty candidate pool)."""
+the footnote-15 escape clause (empty candidate pool), the per-access
+trace stream, capability refusals, and the one charging call per chunk
+(``AccessSession.charge_schedule``)."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.middleware.errors import (
     UnknownObjectError,
     WildGuessError,
 )
+from repro.middleware.trace import SORTED, BatchAccessEvent
 
 N, M = 30, 3
 
@@ -316,3 +321,125 @@ class TestCombinedAlgorithmPhaseAccounting:
         assert scalar.halt_reason == columnar.halt_reason
         assert columnar.depth == 12  # every list fully consumed
         assert columnar.rounds == 13  # 12 progressing + 1 phantom round
+
+    @staticmethod
+    def _per_access(events):
+        """Expand a trace to per-access ``(kind, list, object, grade,
+        position)`` tuples, random accesses with their cumulative cost.
+        Each run of sorted accesses between random ones is put in
+        lockstep order (position, then list): a per-list batch event
+        stands for the rounds it spans, and the scalar loop's runs are
+        already in that order."""
+        out, run = [], []
+        for e in events:
+            if isinstance(e, BatchAccessEvent):
+                accesses = [
+                    (e.kind, e.list_index, obj, grade,
+                     e.first_position + p if e.kind == SORTED else -1)
+                    for p, (obj, grade) in enumerate(zip(e.objects, e.grades))
+                ]
+            else:
+                accesses = [(e.kind, e.list_index, e.obj, e.grade, e.position)]
+            for access in accesses:
+                if access[0] == SORTED:
+                    run.append(access)
+                else:
+                    out.extend(sorted(run, key=lambda a: (a[4], a[1])))
+                    run = []
+                    out.append(access + (e.cumulative_cost,))
+        out.extend(sorted(run, key=lambda a: (a[4], a[1])))
+        return out
+
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    def test_columnar_trace_expands_to_the_scalar_stream(self, h):
+        """The columnar run's batch events -- per-list sorted runs, then
+        each phase's random accesses, per phase -- carry exactly the
+        scalar loop's per-access stream, in order."""
+        grades = np.random.default_rng(23).random((80, 3))
+        traces = []
+        for db in (
+            Database.from_array(grades),
+            ColumnarDatabase.from_array(grades),
+        ):
+            session = AccessSession(db, record_trace=True)
+            result = CombinedAlgorithm(h=h).run(session, AVERAGE, 4)
+            traces.append(session.trace)
+        assert result.random_accesses > 0
+        scalar_stream = [
+            (e.kind, e.list_index, e.obj, e.grade, e.position)
+            + ((e.cumulative_cost,) if e.kind != SORTED else ())
+            for e in traces[0]
+        ]
+        assert all(isinstance(e, BatchAccessEvent) for e in traces[1])
+        assert self._per_access(traces[1]) == scalar_stream
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            ListCapabilities(random_allowed=False),
+            ListCapabilities(sorted_allowed=False),
+        ],
+        ids=["random", "sorted"],
+    )
+    def test_refused_list_raises_with_the_scalar_partial_stats(self, refused):
+        """Past ``run``'s up-front capability check, a list refusing an
+        access mode raises the same ``CapabilityError`` at the same
+        access, with the same charged prefix, on both backends."""
+        grades = np.random.default_rng(11).random((70, 3))
+        caps = [ListCapabilities(), refused, ListCapabilities()]
+        outcomes = []
+        for db in (
+            Database.from_array(grades),
+            ColumnarDatabase.from_array(grades),
+        ):
+            session = AccessSession(db, capabilities=caps)
+            with pytest.raises(CapabilityError) as info:
+                CombinedAlgorithm(h=2)._run(session, AVERAGE, 3)
+            outcomes.append((info.value.args, session.stats()))
+        assert outcomes[0] == outcomes[1]
+        stats = outcomes[0][1]
+        if not refused.random_allowed:
+            # the failing phase charged its sorted prefix and the
+            # random access on list 0 first
+            assert stats.sorted_accesses > 3 and stats.random_accesses > 0
+        else:
+            # the first round's access on list 0, then the refusal
+            assert stats.sorted_by_list == {0: 1}
+
+    def test_one_charging_call_per_chunk(self):
+        """The columnar engine charges each chunk -- its phases included
+        -- in one ``charge_schedule`` call, and makes no per-phase
+        session call."""
+        calls = Counter()
+
+        class CountingSession(AccessSession):
+            pass
+
+        for name in (
+            "sorted_access",
+            "random_access",
+            "sorted_access_batch",
+            "sorted_access_round",
+            "random_access_batch",
+            "random_access_across",
+            "charge_schedule",
+        ):
+
+            def counted(self, *args, _name=name, **kwargs):
+                calls[_name] += 1
+                return getattr(AccessSession, _name)(self, *args, **kwargs)
+
+            setattr(CountingSession, name, counted)
+
+        grades = np.random.default_rng(8).random((3000, 3))
+        db = ColumnarDatabase.from_array(grades)
+        result = CombinedAlgorithm(h=2).run(CountingSession(db), AVERAGE, 5)
+        assert result == CombinedAlgorithm(h=2).run_on(db, AVERAGE, 5)
+        assert result.extras["random_phases"] > 0
+        # chunks run 32, 64, 128, ... rounds (at most 2048)
+        chunks, covered = 0, 0
+        while covered < result.rounds:
+            covered += min(32 << chunks, 2048)
+            chunks += 1
+        assert chunks > 1
+        assert calls == Counter({"charge_schedule": chunks})

@@ -47,17 +47,18 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.core import HaltReason, NoRandomAccessAlgorithm
+from repro.core import CombinedAlgorithm, HaltReason, NoRandomAccessAlgorithm
 from repro.aggregation import AVERAGE
 from repro.aggregation.standard import Average
 from repro.middleware import (
     AccessSession,
+    ColumnarDatabase,
     Database,
     DatabaseError,
     MutableColumnarDatabase,
     MutableShardedDatabase,
 )
-from repro.middleware.cost import QueryBudget
+from repro.middleware.cost import CostModel, QueryBudget
 from repro.middleware.errors import (
     AdmissionError,
     QueryCancelledError,
@@ -123,6 +124,35 @@ class Gate(Average):
     def aggregate_batch(self, rows):
         self.entered.set()
         assert self.release.wait(30), "gate never released"
+        return super().aggregate_batch(rows)
+
+
+class CountingGate(Gate):
+    """``gated`` that parks the engine only on its ``park_at``-th
+    batch evaluation (1-based); the evaluations before it run freely."""
+
+    def __init__(self, park_at: int):
+        super().__init__()
+        self.park_at = park_at
+        self.calls = 0
+
+    def aggregate_batch(self, rows):
+        self.calls += 1
+        if self.calls == self.park_at:
+            return super().aggregate_batch(rows)
+        return Average.aggregate_batch(self, rows)
+
+
+class StatsRecorder(Average):
+    """``average`` that snapshots its session's ``AccessStats`` at
+    every batch evaluation."""
+
+    def __init__(self, session: AccessSession):
+        self.session = session
+        self.snapshots = []
+
+    def aggregate_batch(self, rows):
+        self.snapshots.append(self.session.stats())
         return super().aggregate_batch(rows)
 
 
@@ -794,6 +824,55 @@ class TestDirectDatabasePath:
             assert service.submit(
                 QuerySpec(algorithm="ta", aggregation="min", k=2)
             ).result(timeout=30).halt_reason
+
+    def test_cancel_running_ca_query_bills_the_charged_prefix(
+        self, monkeypatch
+    ):
+        """CA's columnar engine charges each chunk, phases included, in
+        one ``charge_schedule`` call, which must honour cancellation: a
+        CA query cancelled while parked mid-chunk raises at that call,
+        and its bill is the prefix charged when it parked, priced at
+        ``cS*s + cR*r``."""
+        grades = np.random.default_rng(3).random((2000, 4))
+        session = AccessSession(
+            ColumnarDatabase.from_array(grades), CostModel(1.0, 5.0)
+        )
+        recorder = StatsRecorder(session)
+        full = CombinedAlgorithm().run(session, recorder, 5)
+        # park on the first evaluation after a phase was charged: a
+        # later chunk, with more charges still to come
+        park_at = next(
+            n
+            for n, stats in enumerate(recorder.snapshots, 1)
+            if stats.random_accesses
+        )
+        prefix = recorder.snapshots[park_at - 1]
+        assert prefix.sorted_accesses < full.stats.sorted_accesses
+        gate = CountingGate(park_at)
+        monkeypatch.setitem(AGGREGATIONS, "gated", gate)
+        with QueryService(database=Database.from_array(grades)).start() as service:
+            handle = service.submit(
+                QuerySpec(
+                    algorithm="ca", aggregation="gated", k=5, random_cost=5.0
+                )
+            )
+            try:
+                assert gate.entered.wait(10)
+                assert service.status(handle.query_id)["status"] == "running"
+                assert handle.cancel() is True
+            finally:
+                gate.release.set()
+            with pytest.raises(QueryCancelledError):
+                handle.result(timeout=30)
+            bill = handle.bill()
+        assert bill.outcome == "cancelled"
+        assert (bill.sorted_accesses, bill.random_accesses) == (
+            prefix.sorted_accesses,
+            prefix.random_accesses,
+        )
+        assert bill.middleware_cost == (
+            1.0 * prefix.sorted_accesses + 5.0 * prefix.random_accesses
+        )
 
     def test_finished_query_releases_its_session(self, db, gate, monkeypatch):
         """Neither the tracked query state nor its sealed probe (kept
