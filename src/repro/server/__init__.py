@@ -8,12 +8,14 @@ asyncio event loop, with per-query billing.
 * :mod:`repro.server.scheduler` -- :class:`Scheduler`: the cooperative
   two-band dispatcher (urgent / timed) the service's housekeeping
   rides on; it sleeps when there is nothing to do.
-* :mod:`repro.server.scancache` -- :class:`SharedListScan` /
-  :class:`ScanCache`: one underlying sorted cursor per list, shared by
-  every concurrent query over that list.  Sharing happens *below* the
-  charged access plane, so each query is billed exactly the prefix it
-  consumed; deeper queries' pages are uncharged speculation for
-  shallower ones.
+* :mod:`repro.server.scancache` -- :class:`ScanCache`: one
+  :class:`~repro.services.session.SharedListScan` (one underlying
+  sorted cursor) per list, shared by every concurrent query over that
+  list, each reading it through its own
+  :class:`~repro.services.session.ServiceSession`.  Sharing happens
+  *below* the charged access plane, so each query is billed exactly
+  the prefix it consumed; deeper queries' pages are uncharged
+  speculation for shallower ones.
 * :mod:`repro.server.service` -- :class:`QueryService`: admission
   (FIFO queue, bounded, :class:`~repro.middleware.errors.AdmissionError`
   when full), execution (the unmodified synchronous engines on a
@@ -44,7 +46,7 @@ from-scratch run on the post-mutation database.
 """
 
 from .client import QueryOutcome, QueryServiceClient, ViewSnapshot
-from .scancache import ScanCache, SharedListScan
+from .scancache import ScanCache
 from .scheduler import ScheduledCall, Scheduler
 from .service import (
     AGGREGATIONS,
@@ -64,7 +66,6 @@ from .wire import (
 __all__ = [
     "Scheduler",
     "ScheduledCall",
-    "SharedListScan",
     "ScanCache",
     "QueryService",
     "QuerySpec",

@@ -4,9 +4,11 @@ The paper's cost model is per *query*: each query pays ``cS`` for
 every sorted entry **it** consumes.  A server running many concurrent
 queries over the same lists would naively open one sorted cursor per
 (query, list) and pay the service latency once per consumer.  The scan
-cache collapses that: per list there is **one** underlying
-``sorted_access_stream`` cursor whose pages append to a shared,
-immutable-prefix materialization, and every query reads that prefix at
+cache collapses that: per list there is **one**
+:class:`~repro.services.session.SharedListScan` -- one underlying
+``sorted_access_stream`` cursor whose pages append to an
+immutable-prefix materialization -- and every query's
+:class:`~repro.services.session.ServiceSession` reads that prefix at
 its own pace.
 
 The accounting contract survives untouched because sharing happens
@@ -15,200 +17,30 @@ The accounting contract survives untouched because sharing happens
 * the materialized prefix is append-only and global -- a query reading
   position ``p`` sees exactly the entries a solo run would have seen
   at ``p`` (sorted order is the service's, fixed, tie order included);
-* a query is charged (by its own
-  :class:`~repro.services.session.SharedScanSession`) only for
-  positions it consumed; pages pulled because a *deeper* query
-  demanded them are uncharged speculation for everyone shallower --
-  precisely the contract prefetch buffers and
+* a query is charged by its own session only for positions it
+  consumed; pages pulled because a *deeper* query demanded them are
+  uncharged speculation for everyone shallower -- precisely the
+  contract a private scan's readahead and
   :meth:`~repro.middleware.access.AccessSession.columnar_view` already
   obey;
 * random accesses are never shared: they are per-query probes, charged
   and performed by each query's own session.
 
-Demand model: consumers raise a monotone *demand watermark* (the
-deepest position any attached query needs); the single fetcher task
-materializes ``demand + readahead`` entries and then parks.  A scan
-with no demand costs nothing -- the fetcher is started lazily on first
-demand.
+``shared=False`` is the control arm: each checkout gets fresh private
+scans over the same machinery, owned and stopped by its session, so
+the cache itself holds nothing for them.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections.abc import Sequence
 
 from ..middleware.errors import DatabaseError
 from ..services.protocol import RemoteGradedSource
-from ..services.session import SharedScanSession
+from ..services.session import ServiceSession, SharedListScan
 
-__all__ = ["SharedListScan", "ScanCache"]
-
-
-class SharedListScan:
-    """One list's shared materialized prefix and its single fetcher.
-
-    Satisfies the :class:`~repro.services.session.SharedScan` protocol
-    consumed by :class:`~repro.services.session.SharedScanSession`:
-    ``objects``/``grades`` are append-only (grades published before
-    objects, under ``cond``), ``demand(n)`` is the thread-safe
-    watermark, ``attach``/``detach`` count consumers.
-    """
-
-    def __init__(
-        self,
-        source: RemoteGradedSource,
-        loop: asyncio.AbstractEventLoop,
-        *,
-        batch_size: int = 64,
-        readahead_pages: int = 2,
-    ):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if readahead_pages < 0:
-            raise ValueError(
-                f"readahead_pages must be >= 0, got {readahead_pages}"
-            )
-        self._source = source
-        self._loop = loop
-        self._batch_size = batch_size
-        self._readahead = readahead_pages * batch_size
-        # --- shared-prefix state (the SharedScan protocol surface) ---
-        self.objects: list = []
-        self.grades: list[float] = []
-        self.done = False
-        self.error: BaseException | None = None
-        self.cond = threading.Condition()
-        #: how close to the frontier a reader gets before demanding more
-        self.refill_margin = max(batch_size // 2, 1)
-        # --- demand/fetcher plumbing ---
-        self._lock = threading.Lock()
-        self._demand = 0
-        self._attached = 0
-        self._closing = False
-        self._fetcher: asyncio.Task | None = None
-        self._wake: asyncio.Event | None = None
-        # --- observability (uncharged; tests and status endpoints) ---
-        self.pages_fetched = 0
-        self.peak_attached = 0
-
-    @property
-    def name(self) -> str:
-        return self._source.name
-
-    @property
-    def source(self) -> RemoteGradedSource:
-        return self._source
-
-    # ------------------------------------------------------------------
-    # the SharedScan protocol
-    # ------------------------------------------------------------------
-    def attach(self) -> None:
-        with self._lock:
-            self._attached += 1
-            if self._attached > self.peak_attached:
-                self.peak_attached = self._attached
-
-    def detach(self) -> None:
-        with self._lock:
-            if self._attached <= 0:
-                raise RuntimeError(f"detach without attach on {self.name!r}")
-            self._attached -= 1
-
-    @property
-    def attached(self) -> int:
-        """Currently attached consumers (sessions)."""
-        with self._lock:
-            return self._attached
-
-    def materialized(self) -> int:
-        """Entries in the shared prefix so far."""
-        return len(self.objects)
-
-    def demand(self, n: int) -> None:
-        """Ask the fetcher to materialize at least ``n`` entries
-        (monotone; thread-safe; cheap when already satisfied)."""
-        with self._lock:
-            if n <= self._demand:
-                return
-            self._demand = n
-            if self._closing:
-                return
-        try:
-            self._loop.call_soon_threadsafe(self._poke)
-        except RuntimeError:
-            # loop already closed (service teardown); waiters are
-            # released by close()'s notify_all
-            pass
-
-    # ------------------------------------------------------------------
-    # fetcher (loop-side)
-    # ------------------------------------------------------------------
-    def _poke(self) -> None:
-        if self._closing:
-            return
-        if self._fetcher is None:
-            self._fetcher = self._loop.create_task(self._fetch())
-        elif self._wake is not None:
-            self._wake.set()
-
-    def _target(self) -> int:
-        with self._lock:
-            return self._demand + self._readahead
-
-    async def _fetch(self) -> None:
-        self._wake = asyncio.Event()
-        try:
-            stream = self._source.sorted_access_stream(self._batch_size)
-            async for page in stream:
-                with self.cond:
-                    # grades first: readers' lock-free fast path gates
-                    # on len(objects), which must trail grades
-                    self.grades.extend(page.grades)
-                    self.objects.extend(page.objects)
-                    self.pages_fetched += 1
-                    self.cond.notify_all()
-                while (
-                    not self._closing
-                    and len(self.objects) >= self._target()
-                ):
-                    self._wake.clear()
-                    await self._wake.wait()
-                if self._closing:
-                    return
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            # the stream is shared: every attached query sees the same
-            # failure (resilient sources fail over *inside* the stream,
-            # so only truly exhausted sources end up here)
-            with self.cond:
-                self.error = exc
-                self.cond.notify_all()
-            return
-        with self.cond:
-            self.done = True
-            self.cond.notify_all()
-
-    async def aclose(self) -> None:
-        """Stop the fetcher and release any blocked readers (loop-side,
-        idempotent)."""
-        with self._lock:
-            self._closing = True
-        if self._wake is not None:
-            self._wake.set()
-        if self._fetcher is not None:
-            self._fetcher.cancel()
-            await asyncio.gather(self._fetcher, return_exceptions=True)
-            self._fetcher = None
-        with self.cond:
-            self.cond.notify_all()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<SharedListScan {self.name!r} mat={len(self.objects)} "
-            f"attached={self.attached} pages={self.pages_fetched}>"
-        )
+__all__ = ["ScanCache"]
 
 
 class ScanCache:
@@ -243,7 +75,6 @@ class ScanCache:
         self._scans: list[SharedListScan] | None = (
             [self._new_scan(s) for s in self._services] if shared else None
         )
-        self._private_scans: list[SharedListScan] = []
 
     def _new_scan(self, source: RemoteGradedSource) -> SharedListScan:
         return SharedListScan(
@@ -264,11 +95,11 @@ class ScanCache:
         return self._scans[list_index]
 
     def scans_for(self, lists: Sequence[int]) -> list[SharedListScan]:
+        """Scans over ``lists``: the cache's own when shared, fresh
+        ones the caller owns (and must stop) when private."""
         if self._scans is not None:
             return [self._scans[i] for i in lists]
-        fresh = [self._new_scan(self._services[i]) for i in lists]
-        self._private_scans.extend(fresh)
-        return fresh
+        return [self._new_scan(self._services[i]) for i in lists]
 
     def checkout(
         self,
@@ -276,10 +107,11 @@ class ScanCache:
         *,
         query_id: str = "query",
         **session_kwargs,
-    ) -> SharedScanSession:
+    ) -> ServiceSession:
         """A per-query accounted session over ``lists`` (default: all),
-        reading the cache's scans.  ``session_kwargs`` pass through to
-        :class:`~repro.services.session.SharedScanSession`."""
+        reading the cache's shared scans, or private ones the session
+        stops when it closes.  ``session_kwargs`` pass through to
+        :class:`~repro.services.session.ServiceSession`."""
         if lists is None:
             lists = range(len(self._services))
         lists = list(lists)
@@ -291,18 +123,20 @@ class ScanCache:
         if len(set(lists)) != len(lists):
             raise DatabaseError(f"duplicate list indices in {lists}")
         services = [self._services[i] for i in lists]
-        return SharedScanSession(
+        return ServiceSession(
             services,
             self.scans_for(lists),
             self._loop,
+            private=not self.shared,
             query_id=query_id,
             **session_kwargs,
         )
 
     def stats(self) -> dict:
         """Cache-level observability: per-list materialization, pages
-        fetched, attachment high-water marks."""
-        scans = self._scans if self._scans is not None else self._private_scans
+        fetched, attachment high-water marks (no scans when private:
+        those live and die with their sessions)."""
+        scans = self._scans or []
         return {
             "shared": self.shared,
             "scans": [
@@ -318,9 +152,8 @@ class ScanCache:
         }
 
     async def aclose(self) -> None:
-        """Stop every fetcher (loop-side, idempotent)."""
-        scans = list(self._scans or []) + self._private_scans
-        for scan in scans:
+        """Stop every shared fetcher (loop-side, idempotent)."""
+        for scan in self._scans or []:
             await scan.aclose()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,7 +25,7 @@ cooperatively on a single asyncio loop.  The moving parts:
   caller-supplied ``services=``: concurrent queries over the same
   lists read one underlying sorted cursor per list.  Charging is
   untouched -- each query's
-  :class:`~repro.services.session.SharedScanSession` charges exactly
+  :class:`~repro.services.session.ServiceSession` charges exactly
   the prefix *it* consumed.
 * **Source ops**: a ``database=`` service also serves its lists over
   the wire (the ``page``/``random``/``run_page`` ops of
@@ -95,7 +95,7 @@ from ..obs import NULL_INSTRUMENT, Observability
 from ..views import LiveView, ViewEvent
 from ..services.assemble import _per_list
 from ..services.protocol import RemoteGradedSource
-from ..services.session import SharedScanSession
+from ..services.session import ServiceSession, _drain_loop_tasks
 from ..services.simulated import (
     FailureModel,
     LatencyModel,
@@ -306,7 +306,7 @@ class _QueryState:
         self.future: concurrent.futures.Future = concurrent.futures.Future()
         self.status = QueryStatus.QUEUED
         #: the running query's session; dropped once the bill is posted
-        self.session: _DirectSession | SharedScanSession | None = None
+        self.session: _DirectSession | ServiceSession | None = None
         self.cancel_requested = False
         self.submitted_at = time.monotonic()
         self.finished_at: float | None = None
@@ -322,7 +322,7 @@ class _DirectSession(AccessSession):
     """A plain :class:`~repro.middleware.access.AccessSession` that
     :meth:`cancel` stops at its next charging call: the cancelled
     query raises :class:`QueryCancelledError` before anything more is
-    charged, as a :class:`~repro.services.session.SharedScanSession`
+    charged, as a :class:`~repro.services.session.ServiceSession`
     does, so its bill is exactly the prefix it had consumed."""
 
     def __init__(self, database: Database, query_id: str, **kwargs):
@@ -414,21 +414,6 @@ class QueryHandle:
 SWEEP_AFTER_S = 30.0
 
 
-async def _drain_loop_tasks() -> None:
-    """Cancel and await every other task on the running loop -- the
-    same courtesy :func:`asyncio.run` extends at shutdown, for the
-    service's private loop (remote sources park reader tasks there)."""
-    tasks = [
-        task
-        for task in asyncio.all_tasks()
-        if task is not asyncio.current_task()
-    ]
-    for task in tasks:
-        task.cancel()
-    if tasks:
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-
 class QueryService:
     """See the module docstring.
 
@@ -453,8 +438,8 @@ class QueryService:
         ``services=`` only.  ``True`` (default): concurrent queries
         share one sorted cursor per list through the
         :class:`~repro.server.scancache.ScanCache`.  ``False``: every
-        query gets private scans (identical machinery; the benchmark's
-        control arm).
+        query gets private scans that stop when it ends (identical
+        machinery; the benchmark's control arm).
     batch_size, readahead_pages:
         ``services=`` only.  Scan paging: page size of the shared
         cursors and how many pages the fetcher keeps ahead of the
@@ -1042,7 +1027,7 @@ class QueryService:
 
     def _open_session(
         self, state: _QueryState
-    ) -> _DirectSession | SharedScanSession:
+    ) -> _DirectSession | ServiceSession:
         """The query's session: a direct one on the columnar snapshot
         projected onto its lists, or a scan-cache checkout."""
         spec = state.spec
@@ -1065,7 +1050,7 @@ class QueryService:
         )
 
     async def _run_query(self, state: _QueryState) -> None:
-        session: _DirectSession | SharedScanSession | None = None
+        session: _DirectSession | ServiceSession | None = None
         try:
             session = self._open_session(state)
             state.session = session

@@ -10,11 +10,15 @@ with its own access latency.  This package realises that setting:
 * :mod:`repro.services.simulated` -- in-process services wrapping
   per-attribute lists or per-shard runs behind configurable latency,
   jitter, failure and retry models;
-* :mod:`repro.services.session` -- :class:`AsyncAccessSession`, which
-  overlaps all ``m`` services' sorted streams behind bounded prefetch
-  buffers while charging the *identical*
+* :mod:`repro.services.session` -- :class:`ServiceSession`, the one
+  accounted session over services: it reads each list's sorted entries
+  from a :class:`SharedListScan` (a published prefix with one page
+  fetcher) while charging the *identical*
   :class:`~repro.middleware.access.AccessStats`/trace semantics as the
-  synchronous plane;
+  synchronous plane.  :class:`AsyncAccessSession` is that session on a
+  private loop thread over private scans, overlapping all ``m``
+  services' sorted streams; the query service's scan cache lends it
+  shared ones;
 * :mod:`repro.services.assemble` -- builders and drain adapters: remote
   streams into the columnar/sharded backends (and their merge cursors)
   the speculative chunked engines consume unmodified;
@@ -36,7 +40,7 @@ from .assemble import (
 )
 from .network import network_client, network_services, network_shard_runs
 from .protocol import RemoteGradedSource, RunStreamSource, SortedPage
-from .session import AsyncAccessSession, ServiceSession, SharedScanSession
+from .session import AsyncAccessSession, ServiceSession, SharedListScan
 from .simulated import (
     FailureModel,
     LatencyModel,
@@ -51,7 +55,7 @@ __all__ = [
     "SortedPage",
     "AsyncAccessSession",
     "ServiceSession",
-    "SharedScanSession",
+    "SharedListScan",
     "LatencyModel",
     "FailureModel",
     "RetryPolicy",

@@ -1,23 +1,28 @@
 """Service-backed access sessions: remote services, synchronous
 charging.
 
-Two concrete sessions give the paper's algorithms -- unmodified --
-accounted access to ``m`` remote graded sources:
+:class:`ServiceSession` gives the paper's algorithms -- unmodified --
+accounted access to ``m`` remote graded sources.  It reads every
+list's sorted entries from one :class:`SharedListScan`, an append-only
+published prefix with a single page fetcher behind it, and bridges its
+random accesses onto the event loop that owns the services' I/O.
+Where the scans come from is the only difference between its two uses:
 
-* :class:`AsyncAccessSession` owns a private asyncio loop on a
-  background thread and one prefetch task per list (the single-query
-  plane: one session, one set of cursors);
-* :class:`SharedScanSession` owns nothing: it reads the materialized
-  prefix of *shared* per-list scans (one underlying cursor serving many
-  concurrent queries; see :mod:`repro.server.scancache`) and bridges
-  its random accesses onto a loop it is lent.  It adds cooperative
-  cancellation: a cancelled query's next access raises
-  :class:`~repro.middleware.errors.QueryCancelledError` *before*
-  anything is charged, so its accounting stops exactly at the prefix it
-  consumed.
+* :class:`AsyncAccessSession` (the single-query plane) runs the
+  session on a private loop thread over *private* scans it creates
+  itself, so its prefetch is the scans' readahead;
+* :meth:`repro.server.scancache.ScanCache.checkout` hands a query
+  either the cache's *shared* scans (one underlying cursor serving
+  many concurrent queries) or private ones, on the query service's
+  loop.
 
-Both share :class:`ServiceSession`, which holds everything that makes
-the charging-equivalence contract work:
+Either way a session's :meth:`~ServiceSession.cancel` and
+:meth:`~ServiceSession.close` are cooperative and charge-safe: the next
+sorted or random access raises
+:class:`~repro.middleware.errors.QueryCancelledError` *before*
+anything is charged, so the accounting stops exactly at the prefix
+the query consumed.  ``close`` detaches from shared scans and stops
+private ones, so a private scan dies with its query.
 
 charging equivalence contract
     :class:`ServiceSession` subclasses
@@ -27,7 +32,7 @@ charging equivalence contract
     per-list counters, depth, the wild-guess certificate, capability
     checks, trace events and cost are *the same code paths* as the
     synchronous plane -- sorted accesses charge exactly the consumed
-    prefix (prefetched or shared-scan pages beyond it are uncharged
+    prefix (scan pages beyond it, whoever demanded them, are uncharged
     speculation, like
     :meth:`~repro.middleware.access.AccessSession.columnar_view`
     reads), random accesses charge after their grade is served, and a
@@ -45,7 +50,7 @@ import concurrent.futures
 import threading
 import time
 from collections.abc import Sequence
-from typing import Hashable, Protocol
+from typing import Hashable
 
 import numpy as np
 
@@ -63,22 +68,196 @@ from ..middleware.errors import (
 )
 from .protocol import RemoteGradedSource
 
-__all__ = ["ServiceSession", "AsyncAccessSession", "SharedScanSession"]
+__all__ = ["SharedListScan", "ServiceSession", "AsyncAccessSession"]
 
 
-class _ListBuffer:
-    """One list's prefetched prefix plus the thread/loop handshake."""
+class SharedListScan:
+    """One list's materialized sorted prefix and its single fetcher.
 
-    __slots__ = ("objects", "grades", "done", "error", "cond", "space")
+    ``objects``/``grades`` are append-only and published grades-first
+    under ``cond``, so a reader that observes ``position <
+    len(objects)`` may read both without the lock.  Readers raise a
+    monotone *demand watermark* (:meth:`demand`, thread-safe); the
+    fetcher task, started lazily on the first demand, keeps
+    ``demand + readahead_pages * batch_size`` entries materialized and
+    then parks.  A scan nobody demands from costs nothing.  A scan is
+    shared when a :class:`~repro.server.scancache.ScanCache` hands it
+    to many sessions, and private when one session owns it; the
+    machinery is the same.  ``attach``/``detach`` count consumers.
 
-    def __init__(self):
+    Loop-affine: the fetcher runs on ``loop``, the loop that owns the
+    source's I/O.
+    """
+
+    def __init__(
+        self,
+        source: RemoteGradedSource,
+        loop: asyncio.AbstractEventLoop,
+        *,
+        batch_size: int = 64,
+        readahead_pages: int = 2,
+    ):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if readahead_pages < 0:
+            raise ValueError(
+                f"readahead_pages must be >= 0, got {readahead_pages}"
+            )
+        self._source = source
+        self._loop = loop
+        self._batch_size = batch_size
+        self._readahead = readahead_pages * batch_size
+        # --- the published prefix readers see ---
         self.objects: list = []
         self.grades: list[float] = []
         self.done = False
         self.error: BaseException | None = None
         self.cond = threading.Condition()
-        # created on the event loop by the prefetch task
-        self.space: asyncio.Event | None = None
+        #: how close to the frontier a reader gets before demanding more
+        self.refill_margin = max(batch_size // 2, 1)
+        # --- demand/fetcher plumbing ---
+        self._lock = threading.Lock()
+        self._demand = 0
+        self._attached = 0
+        self._closing = False
+        self._fetcher: asyncio.Task | None = None
+        self._wake: asyncio.Event | None = None
+        # --- observability (uncharged; tests and status endpoints) ---
+        self.pages_fetched = 0
+        self.peak_attached = 0
+
+    @property
+    def name(self) -> str:
+        return self._source.name
+
+    @property
+    def source(self) -> RemoteGradedSource:
+        return self._source
+
+    # ------------------------------------------------------------------
+    # reader side (any thread)
+    # ------------------------------------------------------------------
+    def attach(self) -> None:
+        with self._lock:
+            self._attached += 1
+            if self._attached > self.peak_attached:
+                self.peak_attached = self._attached
+
+    def detach(self) -> None:
+        with self._lock:
+            if self._attached <= 0:
+                raise RuntimeError(f"detach without attach on {self.name!r}")
+            self._attached -= 1
+
+    @property
+    def attached(self) -> int:
+        """Currently attached consumers (sessions)."""
+        with self._lock:
+            return self._attached
+
+    def materialized(self) -> int:
+        """Entries in the prefix so far."""
+        return len(self.objects)
+
+    def demand(self, n: int) -> None:
+        """Ask the fetcher to materialize at least ``n`` entries
+        (monotone; thread-safe; cheap when already satisfied)."""
+        with self._lock:
+            if n <= self._demand:
+                return
+            self._demand = n
+            if self._closing:
+                return
+        try:
+            self._loop.call_soon_threadsafe(self._poke)
+        except RuntimeError:
+            # loop already closed (service teardown); waiters are
+            # released by close()'s notify_all
+            pass
+
+    # ------------------------------------------------------------------
+    # fetcher (loop-side)
+    # ------------------------------------------------------------------
+    def _poke(self) -> None:
+        if self._closing:
+            return
+        if self._fetcher is None:
+            self._fetcher = self._loop.create_task(self._fetch())
+        elif self._wake is not None:
+            self._wake.set()
+
+    def _target(self) -> int:
+        with self._lock:
+            return self._demand + self._readahead
+
+    async def _fetch(self) -> None:
+        self._wake = asyncio.Event()
+        try:
+            stream = self._source.sorted_access_stream(self._batch_size)
+            async for page in stream:
+                with self.cond:
+                    # grades first: readers' lock-free fast path gates
+                    # on len(objects), which must trail grades
+                    self.grades.extend(page.grades)
+                    self.objects.extend(page.objects)
+                    self.pages_fetched += 1
+                    self.cond.notify_all()
+                while (
+                    not self._closing
+                    and len(self.objects) >= self._target()
+                ):
+                    self._wake.clear()
+                    await self._wake.wait()
+                if self._closing:
+                    return
+        except asyncio.CancelledError:
+            raise
+        except BaseException as exc:
+            # every reader of the scan sees the same failure (resilient
+            # sources fail over *inside* the stream, so only truly
+            # exhausted sources end up here)
+            with self.cond:
+                self.error = exc
+                self.cond.notify_all()
+            return
+        with self.cond:
+            self.done = True
+            self.cond.notify_all()
+
+    async def aclose(self) -> None:
+        """Stop the fetcher and release any blocked readers (loop-side,
+        idempotent)."""
+        with self._lock:
+            self._closing = True
+        if self._wake is not None:
+            self._wake.set()
+        if self._fetcher is not None:
+            self._fetcher.cancel()
+            await asyncio.gather(self._fetcher, return_exceptions=True)
+            self._fetcher = None
+        with self.cond:
+            self.cond.notify_all()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"<SharedListScan {self.name!r} mat={len(self.objects)} "
+            f"attached={self.attached} pages={self.pages_fetched}>"
+        )
+
+
+async def _drain_loop_tasks() -> None:
+    """Cancel and await every other task on the running loop -- the
+    courtesy :func:`asyncio.run` extends at shutdown, for a private
+    loop about to stop (remote sources park reader tasks there)."""
+    tasks = [
+        task
+        for task in asyncio.all_tasks()
+        if task is not asyncio.current_task()
+    ]
+    for task in tasks:
+        task.cancel()
+    if tasks:
+        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class _ServiceBackedView:
@@ -112,59 +291,77 @@ class _ServiceBackedView:
         )
 
 
-class SharedScan(Protocol):
-    """What :class:`SharedScanSession` needs from a shared per-list
-    scan (the concrete type lives in :mod:`repro.server.scancache`;
-    this protocol keeps the dependency arrow pointing server -> here).
-
-    ``objects``/``grades`` are append-only and published grades-first
-    under ``cond``, so a reader that observes ``position <
-    len(objects)`` may read both without the lock.  ``demand(n)`` is a
-    thread-safe monotone watermark asking the producer to materialize
-    at least ``n`` entries; ``refill_margin`` is how close to the
-    frontier a reader may get before it should demand more.
-    """
-
-    objects: list
-    grades: list[float]
-    done: bool
-    error: BaseException | None
-    cond: threading.Condition
-    refill_margin: int
-
-    def demand(self, n: int) -> None: ...
-
-    def attach(self) -> None: ...
-
-    def detach(self) -> None: ...
-
-
 class ServiceSession(AccessSession):
-    """Shared machinery for sessions whose ``m`` lists live behind
+    """A query's accounted session over ``m`` lists that live behind
     :class:`~repro.services.protocol.RemoteGradedSource` services.
 
-    Subclasses supply *where sorted entries come from* (``_entry_at``)
-    and *which loop bridges random accesses* (``_service_loop``); this
-    base owns service validation, the Database-shaped facade, and the
-    batched random-access overrides whose charging replay is identical
-    for every service-backed plane.
+    Sorted entries come from ``scans`` (one :class:`SharedListScan`
+    per service, same order): the session's counters advance only for
+    entries *it* consumed, so a page pulled because another reader (or
+    the readahead) demanded it is uncharged speculation, and each
+    query's :class:`~repro.middleware.access.AccessStats` is
+    bit-identical to a solo run of the same query.  Random accesses are
+    per query: bridged onto ``loop``, the running event loop that owns
+    the services' I/O.  Only :class:`AsyncAccessSession`, which owns
+    its loop, stops it.
+
+    :meth:`cancel` (any thread) and :meth:`close` make the next access
+    raise :class:`~repro.middleware.errors.QueryCancelledError` before
+    anything is charged; both wake a wait blocked on a scan frontier.
+
+    Parameters
+    ----------
+    services:
+        The remote sources, in list order.  All must agree on
+        ``num_entries``.
+    scans:
+        One :class:`SharedListScan` per service, same order.
+    loop:
+        The event loop the scans fetch on and random accesses run on.
+    cost_model, capabilities, forbid_wild_guesses, record_trace:
+        As for :class:`~repro.middleware.access.AccessSession`;
+        ``capabilities`` defaults to each service's declared modes.
+    private:
+        ``True`` when the session owns ``scans``: :meth:`close` then
+        stops their fetchers, so nothing outlives the query.  ``False``
+        (shared scans): :meth:`close` only detaches.
+    wait_timeout:
+        Seconds a read waits on a stalled scan or random-access bridge
+        before raising
+        :class:`~repro.middleware.errors.ServiceTimeoutError` (a
+        deadlock net, not a latency model).
+    budget, survive_list_loss:
+        As for :class:`~repro.middleware.access.AccessSession`,
+        forwarded unchanged so the scalar charging machinery owns them.
+    query_id:
+        Identifies this query in cancellation errors.
     """
 
     def __init__(
         self,
         services: Sequence[RemoteGradedSource],
+        scans: Sequence[SharedListScan],
+        loop: asyncio.AbstractEventLoop,
         cost_model: CostModel = UNIT_COSTS,
         capabilities: ListCapabilities | Sequence[ListCapabilities] | None = None,
         forbid_wild_guesses: bool = False,
         record_trace: bool = False,
         *,
+        private: bool = False,
         wait_timeout: float = 30.0,
         budget: QueryBudget | None = None,
         survive_list_loss: bool = False,
+        query_id: str = "query",
     ):
         if not services:
             raise DatabaseError("need at least one service")
         self._services = list(services)
+        self._scans = list(scans)
+        if len(self._scans) != len(self._services):
+            raise DatabaseError(
+                f"got {len(self._scans)} scans for "
+                f"{len(self._services)} services"
+            )
         sizes = {int(s.num_entries) for s in self._services}
         if len(sizes) != 1:
             raise DatabaseError(
@@ -174,7 +371,12 @@ class ServiceSession(AccessSession):
         self._num_objects = sizes.pop()
         if self._num_objects < 1:
             raise DatabaseError("services must grade at least one object")
+        self._loop = loop
+        self._private = private
         self._wait_timeout = wait_timeout
+        self._query_id = query_id
+        self._cancelled = False
+        self._closed = False
         if capabilities is None:
             capabilities = [s.capabilities() for s in self._services]
         super().__init__(
@@ -186,18 +388,96 @@ class ServiceSession(AccessSession):
             budget=budget,
             survive_list_loss=survive_list_loss,
         )
+        for scan in self._scans:
+            scan.attach()
 
-    # -- subclass surface ----------------------------------------------
-    @property
-    def _service_loop(self) -> asyncio.AbstractEventLoop:
-        """The loop that owns the services' I/O (their simulated
-        endpoints and transport connections are single-loop objects)."""
-        raise NotImplementedError
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def cancel(self) -> None:
+        """Mark the query dead and wake any wait blocked on a scan.
 
+        Thread-safe and idempotent; callable from the event loop while
+        the engine blocks in a worker thread.  The engine's next access
+        raises :class:`QueryCancelledError` *before* charging, so the
+        session's accounting freezes at exactly the consumed prefix.
+        """
+        if self._cancelled:
+            return
+        self._cancelled = True
+        self._wake_readers()
+
+    def close(self) -> None:
+        """End the session (idempotent): later accesses raise
+        :class:`QueryCancelledError`.  Shared scans keep their prefix
+        -- they are a cache -- but stop counting this session as a
+        consumer; private scans are stopped."""
+        if self._closed:
+            return
+        self._closed = True
+        for scan in self._scans:
+            scan.detach()
+            if self._private:
+                asyncio.run_coroutine_threadsafe(scan.aclose(), self._loop)
+        self._wake_readers()
+
+    def _wake_readers(self) -> None:
+        for scan in self._scans:
+            with scan.cond:
+                scan.cond.notify_all()
+
+    def __enter__(self) -> "ServiceSession":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _check_open(self) -> None:
+        if self._cancelled or self._closed:
+            raise QueryCancelledError(self._query_id)
+
+    # ------------------------------------------------------------------
+    # sorted access: the scan's published prefix
+    # ------------------------------------------------------------------
     def _entry_at(self, i: int, position: int):
-        """The facade's ``sorted_entry``: ``(object, grade)``, ``None``
-        on exhaustion, or raise."""
-        raise NotImplementedError
+        """The facade's ``sorted_entry``: ``(object, grade)`` at
+        ``position`` of list ``i``, ``None`` on exhaustion, or raise.
+
+        Fast path: the scan's lists only grow (grades published before
+        objects), so once ``len(objects) > position`` both are readable
+        without the lock; the fetcher is asked for more only when this
+        reader nears the frontier.  Otherwise block until the prefix
+        covers ``position``, the stream ends or fails, or the session
+        is cancelled or closed.  The check before the read is
+        :meth:`~repro.middleware.access.AccessSession.sorted_access`'s.
+        """
+        scan = self._scans[i]
+        objects = scan.objects
+        if position < len(objects):
+            if len(objects) - position <= scan.refill_margin:
+                scan.demand(position + 1)
+            return objects[position], scan.grades[position]
+        scan.demand(position + 1)
+        deadline = time.monotonic() + self._wait_timeout
+        with scan.cond:
+            while (
+                len(scan.objects) <= position
+                and not scan.done
+                and scan.error is None
+                and not (self._cancelled or self._closed)
+            ):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ServiceTimeoutError(
+                        self._services[i].name
+                    ) from None
+                scan.cond.wait(timeout=remaining)
+        self._check_open()
+        if position < len(scan.objects):
+            return scan.objects[position], scan.grades[position]
+        if scan.error is not None:
+            raise scan.error
+        return None  # stream exhausted
 
     # -- random-access bridging ----------------------------------------
     def _bridge_random(self, i: int, objects: list) -> list[float]:
@@ -209,7 +489,7 @@ class ServiceSession(AccessSession):
         first, so a dead query fails before anything is served."""
         future = asyncio.run_coroutine_threadsafe(
             self._services[i].random_access_batch(objects),
-            self._service_loop,
+            self._loop,
         )
         try:
             return future.result(timeout=self._wait_timeout)
@@ -344,7 +624,7 @@ class ServiceSession(AccessSession):
             )
 
         future = asyncio.run_coroutine_threadsafe(
-            _gather(), self._service_loop
+            _gather(), self._loop
         )
         try:
             results = future.result(timeout=self._wait_timeout)
@@ -380,10 +660,24 @@ class ServiceSession(AccessSession):
     def services(self) -> list[RemoteGradedSource]:
         return list(self._services)
 
+    def prefetched(self, list_index: int) -> int:
+        """Entries materialized for ``list_index`` so far (consumed or
+        not); uncharged observability for tests and benchmarks."""
+        self._check_list(list_index)
+        return len(self._scans[list_index].objects)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"<{type(self).__name__} {self._query_id!r} "
+            f"m={len(self._services)} N={self._num_objects} "
+            f"s={self.sorted_accesses} r={self.random_accesses}>"
+        )
+
 
 class AsyncAccessSession(ServiceSession):
     """Accounted, capability-checked access to ``m`` remote services,
-    with a private event loop and per-list prefetch pipelines.
+    on a private event loop thread with one private
+    :class:`SharedListScan` per list as its prefetch pipeline.
 
     Parameters
     ----------
@@ -394,20 +688,20 @@ class AsyncAccessSession(ServiceSession):
         As for :class:`~repro.middleware.access.AccessSession`;
         ``capabilities`` defaults to each service's declared modes.
     batch_size:
-        Page size of the sorted prefetch streams.
+        Page size of the sorted scans.
     prefetch_pages:
-        How many pages each stream may run ahead of its consumer.
+        How many pages each scan may run ahead of its consumer.
         ``0`` fetches strictly on demand (no pipelining, no overlap
         between compute and transfer) -- the sequential baseline.
     wait_timeout:
-        Seconds the consumer thread waits on a stalled buffer or
+        Seconds the consumer thread waits on a stalled scan or
         random-access bridge before raising
         :class:`~repro.middleware.errors.ServiceTimeoutError` (a
         deadlock net, not a latency model).
     eager:
-        Arm every sorted-capable list's prefetcher at construction, so
-        the very first lockstep round already overlaps all ``m``
-        services (the default).  Pass ``False`` -- together with
+        Arm every sorted-capable list's scan at construction, so the
+        very first lockstep round already overlaps all ``m`` services
+        (the default).  Pass ``False`` -- together with
         ``prefetch_pages=0`` -- for the strict sequential
         fetch-on-demand baseline, where no service is contacted until
         its list is actually read (this is what ``bench_async.py``'s
@@ -440,367 +734,63 @@ class AsyncAccessSession(ServiceSession):
             raise ValueError(
                 f"prefetch_pages must be >= 0, got {prefetch_pages}"
             )
-        self._batch_size = batch_size
-        self._prefetch_pages = prefetch_pages
-        # wake the producer when fewer than half the prefetch window
-        # (at least one page) remains buffered ahead of the consumer
-        self._refill_margin = max(
-            (prefetch_pages * batch_size) // 2, batch_size, 1
-        )
-        self._buffers = [_ListBuffer() for _ in services]
-        self._prefetching: list[concurrent.futures.Future | None] = [
-            None for _ in services
-        ]
-        self._closing = False
-        super().__init__(
-            services,
-            cost_model,
-            capabilities,
-            forbid_wild_guesses,
-            record_trace,
-            wait_timeout=wait_timeout,
-            budget=budget,
-            survive_list_loss=survive_list_loss,
-        )
-        self._loop = asyncio.new_event_loop()
+        services = list(services)
+        loop = asyncio.new_event_loop()
+        try:
+            super().__init__(
+                services,
+                [
+                    SharedListScan(
+                        s,
+                        loop,
+                        batch_size=batch_size,
+                        readahead_pages=prefetch_pages,
+                    )
+                    for s in services
+                ],
+                loop,
+                cost_model,
+                capabilities,
+                forbid_wild_guesses,
+                record_trace,
+                private=True,
+                wait_timeout=wait_timeout,
+                budget=budget,
+                survive_list_loss=survive_list_loss,
+            )
+        except BaseException:
+            self._closed = True
+            loop.close()
+            raise
         self._thread = threading.Thread(
-            target=self._loop.run_forever,
+            target=loop.run_forever,
             name="repro-async-session",
             daemon=True,
         )
         self._thread.start()
         if eager:
-            # arm every sorted-capable list's prefetcher up front so the
-            # very first lockstep round already overlaps all m services
             for i in self.sorted_lists:
-                self._ensure_prefetch(i)
+                self._scans[i].demand(1)
 
-    @property
-    def _service_loop(self) -> asyncio.AbstractEventLoop:
-        return self._loop
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the prefetchers and the background loop (idempotent)."""
-        if self._closing:
+        """Stop the scans and the private loop (idempotent)."""
+        if self._closed:
             return
-        self._closing = True
+        super().close()
         loop = self._loop
         try:
-            future = asyncio.run_coroutine_threadsafe(self._shutdown(), loop)
-            future.result(timeout=5.0)
+            asyncio.run_coroutine_threadsafe(
+                _drain_loop_tasks(), loop
+            ).result(timeout=5.0)
         except Exception:  # pragma: no cover - defensive teardown
             pass
-        try:
-            loop.call_soon_threadsafe(loop.stop)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
+        loop.call_soon_threadsafe(loop.stop)
         self._thread.join(timeout=5.0)
         if not self._thread.is_alive():
             loop.close()
-
-    async def _shutdown(self) -> None:
-        """Cancel and drain the prefetch tasks on their own loop, so
-        none is destroyed while pending."""
-        for buf in self._buffers:
-            if buf.space is not None:
-                buf.space.set()
-        tasks = [
-            task
-            for task in asyncio.all_tasks()
-            if task is not asyncio.current_task()
-        ]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-    def __enter__(self) -> "AsyncAccessSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self):  # pragma: no cover - defensive
         try:
             self.close()
         except Exception:
             pass
-
-    # ------------------------------------------------------------------
-    # prefetch plumbing
-    # ------------------------------------------------------------------
-    def _ensure_prefetch(self, i: int) -> None:
-        if self._prefetching[i] is None:
-            self._prefetching[i] = asyncio.run_coroutine_threadsafe(
-                self._prefetch_list(i), self._loop
-            )
-
-    def _buffer_target(self, i: int) -> int:
-        """Entries list ``i``'s buffer may hold before its producer
-        must wait: the consumed prefix plus the prefetch window (or a
-        single on-demand entry when pipelining is off)."""
-        ahead = self._prefetch_pages * self._batch_size
-        return self._positions[i] + max(ahead, 1)
-
-    async def _prefetch_list(self, i: int) -> None:
-        buf = self._buffers[i]
-        buf.space = asyncio.Event()
-        try:
-            stream = self._services[i].sorted_access_stream(self._batch_size)
-            async for page in stream:
-                with buf.cond:
-                    # grades first: the consumer's lock-free fast path
-                    # gates on len(objects), which must trail grades
-                    buf.grades.extend(page.grades)
-                    buf.objects.extend(page.objects)
-                    buf.cond.notify_all()
-                while (
-                    not self._closing
-                    and len(buf.objects) >= self._buffer_target(i)
-                ):
-                    buf.space.clear()
-                    await buf.space.wait()
-                if self._closing:
-                    return
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            with buf.cond:
-                buf.error = exc
-                buf.cond.notify_all()
-            return
-        with buf.cond:
-            buf.done = True
-            buf.cond.notify_all()
-
-    def _signal_space(self, i: int) -> None:
-        space = self._buffers[i].space
-        if space is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(space.set)
-
-    def _entry_at(self, i: int, position: int):
-        """The facade's ``sorted_entry``: block until the prefetched
-        prefix covers ``position`` (or the stream ends / fails).
-
-        Fast path: the buffer lists only ever grow (grades before
-        objects), so once ``len(objects) > position`` both entries are
-        readable without the lock; the producer is woken only when the
-        remaining buffered-ahead window runs low, not on every entry.
-        """
-        buf = self._buffers[i]
-        objects = buf.objects
-        if position < len(objects):
-            if len(objects) - position <= self._refill_margin:
-                self._signal_space(i)
-            return objects[position], buf.grades[position]
-        self._ensure_prefetch(i)
-        self._signal_space(i)
-        deadline = time.monotonic() + self._wait_timeout
-        with buf.cond:
-            while (
-                len(buf.objects) <= position
-                and not buf.done
-                and buf.error is None
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServiceTimeoutError(
-                        self._services[i].name
-                    ) from None
-                buf.cond.wait(timeout=remaining)
-        if position < len(buf.objects):
-            return buf.objects[position], buf.grades[position]
-        if buf.error is not None:
-            raise buf.error
-        return None  # stream exhausted
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def prefetched(self, list_index: int) -> int:
-        """Entries buffered for ``list_index`` so far (consumed or not);
-        uncharged observability for tests and benchmarks."""
-        self._check_list(list_index)
-        return len(self._buffers[list_index].objects)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<AsyncAccessSession m={len(self._services)} "
-            f"N={self._num_objects} s={self.sorted_accesses} "
-            f"r={self.random_accesses}>"
-        )
-
-
-class SharedScanSession(ServiceSession):
-    """A query's accounted view over *shared* per-list scans.
-
-    Many concurrent queries hold a ``SharedScanSession`` over the same
-    :class:`SharedScan` objects: one underlying sorted cursor per list
-    materializes an append-only global prefix, and every query reads
-    that prefix at its own pace.  Charging stays per query -- the
-    parent's counters advance only for entries *this* session consumed,
-    so a page pulled because a deeper query demanded it is uncharged
-    speculation for everyone else, and each query's
-    :class:`~repro.middleware.access.AccessStats` is bit-identical to a
-    solo run of the same query.
-
-    Cancellation (:meth:`cancel`) is cooperative and charge-safe: the
-    next access raises
-    :class:`~repro.middleware.errors.QueryCancelledError` before
-    charging, and any wait blocked on a scan frontier is woken
-    immediately.
-
-    Parameters
-    ----------
-    services:
-        The remote sources backing the scans, in list order (used for
-        random access, which is always per-query, and for names).
-    scans:
-        One attached :class:`SharedScan` per service, same order.
-    loop:
-        The running event loop that owns the services' I/O; random
-        accesses are bridged onto it.  Unlike
-        :class:`AsyncAccessSession` this session does not own the loop
-        and never stops it.
-    query_id:
-        Identifies this query in cancellation errors and bills.
-    """
-
-    def __init__(
-        self,
-        services: Sequence[RemoteGradedSource],
-        scans: Sequence[SharedScan],
-        loop: asyncio.AbstractEventLoop,
-        cost_model: CostModel = UNIT_COSTS,
-        capabilities: ListCapabilities | Sequence[ListCapabilities] | None = None,
-        forbid_wild_guesses: bool = False,
-        record_trace: bool = False,
-        *,
-        wait_timeout: float = 30.0,
-        budget: QueryBudget | None = None,
-        survive_list_loss: bool = False,
-        query_id: str = "query",
-    ):
-        scans = list(scans)
-        if len(scans) != len(list(services)):
-            raise DatabaseError(
-                f"got {len(scans)} scans for {len(list(services))} services"
-            )
-        self._scans = scans
-        self._session_loop = loop
-        self._query_id = query_id
-        self._cancelled = False
-        self._closed = False
-        super().__init__(
-            services,
-            cost_model,
-            capabilities,
-            forbid_wild_guesses,
-            record_trace,
-            wait_timeout=wait_timeout,
-            budget=budget,
-            survive_list_loss=survive_list_loss,
-        )
-        for scan in self._scans:
-            scan.attach()
-
-    @property
-    def _service_loop(self) -> asyncio.AbstractEventLoop:
-        return self._session_loop
-
-    @property
-    def query_id(self) -> str:
-        return self._query_id
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def cancel(self) -> None:
-        """Mark the query dead and wake any wait blocked on a scan.
-
-        Thread-safe and idempotent; callable from the event loop while
-        the engine blocks in a worker thread.  The engine's next access
-        raises :class:`QueryCancelledError` *before* charging, so the
-        session's accounting freezes at exactly the consumed prefix.
-        """
-        if self._cancelled:
-            return
-        self._cancelled = True
-        for scan in self._scans:
-            with scan.cond:
-                scan.cond.notify_all()
-
-    def close(self) -> None:
-        """Detach from every shared scan (idempotent).  The scans keep
-        their materialized prefix -- they are a cache -- but stop
-        counting this query as a consumer."""
-        if self._closed:
-            return
-        self._closed = True
-        for scan in self._scans:
-            scan.detach()
-
-    def __enter__(self) -> "SharedScanSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # access plumbing
-    # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._cancelled:
-            raise QueryCancelledError(self._query_id)
-
-    def _entry_at(self, i: int, position: int):
-        """The facade's ``sorted_entry`` against the shared prefix.
-
-        Fast path mirrors :class:`AsyncAccessSession`: the scan's
-        lists only grow (grades published before objects), so once
-        ``len(objects) > position`` both are readable without the
-        lock; the shared producer is asked for more only when this
-        reader nears the frontier.  The cancellation check before the
-        read is :meth:`~repro.middleware.access.AccessSession.sorted_access`'s.
-        """
-        scan = self._scans[i]
-        objects = scan.objects
-        if position < len(objects):
-            if len(objects) - position <= scan.refill_margin:
-                scan.demand(position + 1)
-            return objects[position], scan.grades[position]
-        scan.demand(position + 1)
-        deadline = time.monotonic() + self._wait_timeout
-        with scan.cond:
-            while (
-                len(scan.objects) <= position
-                and not scan.done
-                and scan.error is None
-                and not self._cancelled
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServiceTimeoutError(
-                        self._services[i].name
-                    ) from None
-                scan.cond.wait(timeout=remaining)
-        if self._cancelled:
-            raise QueryCancelledError(self._query_id)
-        if position < len(scan.objects):
-            return scan.objects[position], scan.grades[position]
-        if scan.error is not None:
-            raise scan.error
-        return None  # stream exhausted
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<SharedScanSession {self._query_id!r} "
-            f"m={len(self._services)} N={self._num_objects} "
-            f"s={self.sorted_accesses} r={self.random_accesses}>"
-        )

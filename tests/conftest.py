@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -20,14 +21,16 @@ def _async_services_timeout(request):
     deadline (default 60 s, ``REPRO_ASYNC_TEST_TIMEOUT`` overrides --
     CI sets it explicitly) turns a hang into a loud failure.  No-op on
     platforms without SIGALRM and for unmarked tests.
+
+    It also holds every marked test to the thread baseline: no
+    ``AsyncAccessSession`` loop thread the test started may outlive it.
     """
     if request.node.get_closest_marker("async_services") is None:
         yield
         return
+    before = set(_session_threads())
     seconds = int(os.environ.get("REPRO_ASYNC_TEST_TIMEOUT", "60"))
-    if seconds <= 0 or not hasattr(signal, "SIGALRM"):
-        yield
-        return
+    armed = seconds > 0 and hasattr(signal, "SIGALRM")
 
     def _on_alarm(signum, frame):
         raise TimeoutError(
@@ -35,13 +38,23 @@ def _async_services_timeout(request):
             "(REPRO_ASYNC_TEST_TIMEOUT)"
         )
 
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(seconds)
+    if armed:
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.alarm(seconds)
     try:
         yield
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        if armed:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    leaked = [t for t in _session_threads() if t not in before]
+    assert not leaked, f"session loop threads left running: {leaked}"
+
+
+def _session_threads() -> list[threading.Thread]:
+    return [
+        t for t in threading.enumerate() if t.name == "repro-async-session"
+    ]
 
 
 @pytest.fixture

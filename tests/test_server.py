@@ -75,13 +75,16 @@ from repro.server import (
     QueryStatus,
     ScanCache,
     Scheduler,
-    SharedListScan,
     decode_result,
     encode_result,
 )
 from repro.obs import Observability
 from repro.server.service import AdmissionPolicy
-from repro.services import LatencyModel, services_for_database
+from repro.services import (
+    LatencyModel,
+    SharedListScan,
+    services_for_database,
+)
 from repro.store import open_store, save_store
 
 from tests.helpers import (
@@ -605,6 +608,39 @@ class TestDifferentialLoad:
 # admission, billing, cancellation (embedded service)
 # ---------------------------------------------------------------------------
 class TestServiceSemantics:
+    def test_private_scans_die_with_their_query(self):
+        """``share_scans=False``: each query's scans stop when it ends,
+        so neither the loop's tasks nor the cache's scans grow with the
+        number of queries served."""
+        rng = np.random.default_rng(67)
+        deep = Database.from_array(rng.random((400, 3)))
+        spec = QuerySpec(algorithm="nra", aggregation="average", k=5)
+
+        def loop_footprint(service) -> int:
+            async def count():
+                return len(asyncio.all_tasks())
+
+            return asyncio.run_coroutine_threadsafe(
+                count(), service._loop
+            ).result(timeout=5)
+
+        def settled(service, most: int) -> int:
+            # a finished query's scans stop on the loop a moment later
+            deadline = time.monotonic() + 2.0
+            tasks = loop_footprint(service)
+            while tasks > most and time.monotonic() < deadline:
+                time.sleep(0.01)
+                tasks = loop_footprint(service)
+            return tasks
+
+        with scan_service(deep, share_scans=False).start() as service:
+            idle = loop_footprint(service)
+            for served in (1, 6):
+                for _ in range(served):
+                    service.submit(spec).result(timeout=60)
+                assert settled(service, idle) <= idle
+                assert service.stats()["cache"]["scans"] == []
+
     def test_invalid_specs_fail_at_submission(self, db):
         with QueryService(database=db).start() as service:
             for spec in [

@@ -15,6 +15,7 @@ subsystem directly.)
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.middleware import (
     DatabaseError,
     GradedSource,
     ListCapabilities,
+    QueryCancelledError,
     ShardedDatabase,
     UnknownObjectError,
     assemble_database,
@@ -236,6 +238,46 @@ class TestAsyncSessionCharging:
         session.sorted_access(1)
         session.close()
         session.close()
+
+    def test_no_prefetch_fetches_strictly_on_demand(self, db):
+        """``prefetch_pages=0``: reading exactly one page contacts the
+        service once; no read has missed, so no second page is due."""
+        services = services_for_database(db)
+        with AsyncAccessSession(
+            services, batch_size=4, prefetch_pages=0, eager=False
+        ) as session:
+            for _ in range(4):
+                session.sorted_access(0)
+            # flush the session loop: a fetch any read scheduled would
+            # have reached the service by the last round trip
+            for _ in range(5):
+                asyncio.run_coroutine_threadsafe(
+                    asyncio.sleep(0), session._loop
+                ).result(timeout=5)
+            assert services[0].calls == 1
+            assert session.prefetched(0) == 4
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eager", [True, False])
+    def test_closed_session_fails_fast(self, db, eager):
+        """After ``close()`` the next sorted or random access raises
+        :class:`QueryCancelledError` at once, before anything is
+        charged -- also on a list that was never read."""
+        session = AsyncAccessSession(services_for_database(db), eager=eager)
+        obj, _ = session.sorted_access(0)
+        session.close()
+        before = session.stats()
+        start = time.perf_counter()
+        with pytest.raises(QueryCancelledError):
+            session.sorted_access(1)
+        with pytest.raises(QueryCancelledError):
+            session.sorted_access(0)
+        with pytest.raises(QueryCancelledError):
+            session.random_access(2, obj)
+        with pytest.raises(QueryCancelledError):
+            session.random_access_batch(1, [obj])
+        assert time.perf_counter() - start < 1.0
+        assert session.stats() == before
 
 
 class TestAsyncRandomAccessBatching:
