@@ -18,14 +18,12 @@ The full grid is N in {10k, 100k} x m in {2, 5} with k=10 under the
 ``cR/cS = 5`` (so ``h = 5``, the regime it was designed for).
 ``--smoke`` runs only the N=10k half of the grid, in seconds -- the
 same configurations the committed full run covers, so
-``check_bench_regression.py`` can gate the smoke speedups against the
-committed baseline.
+``check_bench_regression.py`` can hold the smoke speedups to the
+committed baseline's ``gate`` block (``GATE`` below).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -41,10 +39,16 @@ from repro.core.stream_combine import StreamCombine  # noqa: E402
 from repro.core.ta import ThresholdAlgorithm  # noqa: E402
 from repro.middleware.cost import UNIT_COSTS, CostModel  # noqa: E402
 from repro.middleware.database import ColumnarDatabase, Database  # noqa: E402
+from _util import report_main  # noqa: E402
 
 SEED = 20260729
 K = 10
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_backend.json"
+GATE = {
+    "key": ["algorithm", "N", "m"],
+    "within": {"speedup": 2.0},
+    "overlap": True,
+}
 CA_COSTS = CostModel(1.0, 5.0)
 
 
@@ -136,34 +140,5 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid for CI: exercises the script, not the hardware",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            f"where to write the JSON report (default: {OUTPUT}; a smoke "
-            "run defaults to BENCH_backend.smoke.json so it never "
-            "clobbers the committed full-run numbers)"
-        ),
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-        )
-    report = run(args.smoke)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(report_main(__doc__, OUTPUT, GATE, run))

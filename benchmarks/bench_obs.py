@@ -25,9 +25,9 @@ totals must equal the engine's own ``AccessStats`` exactly.  The
 headline numbers are the overhead ratios ``disabled_overhead`` and
 ``enabled_overhead`` (arm seconds / baseline seconds, min over
 repeats).  The committed full run must hold disabled <= 2% and
-enabled <= 10%, enforced by ``check_bench_regression.py
---obs-baseline``, which also gates CI smoke runs (with slack: smoke
-boxes are noisy).  Run directly::
+enabled <= 10% (``GATE`` below, stamped into the report and held by
+``check_bench_regression.py``), and CI smoke runs get 3x those ceilings
+(smoke boxes are noisy).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_obs.py           # full
     PYTHONPATH=src python benchmarks/bench_obs.py --smoke   # CI
@@ -35,8 +35,6 @@ boxes are noisy).  Run directly::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -54,9 +52,18 @@ from repro.core import (  # noqa: E402
 from repro.middleware import AccessSession  # noqa: E402
 from repro.middleware.database import ColumnarDatabase  # noqa: E402
 from repro.obs import Observability  # noqa: E402
+from _util import report_main  # noqa: E402
 
 SEED = 20260808
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+#: a smoke run gets 3x the committed ceilings (1.02 x 3, 1.10 x 3):
+#: CI timing of sub-millisecond runs is noisy
+GATE = {
+    "key": ["part", "config"],
+    "max": {"disabled_overhead": 1.02, "enabled_overhead": 1.10},
+    "smoke_max": {"disabled_overhead": 3.06, "enabled_overhead": 3.3},
+    "overlap": True,
+}
 
 ALGORITHMS = {
     "TA": ThresholdAlgorithm,
@@ -219,33 +226,5 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid for CI: exercises the script, not the hardware",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            f"where to write the JSON report (default: {OUTPUT}; a smoke "
-            "run defaults to a .smoke.json suffix instead)"
-        ),
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-        )
-    report = run(args.smoke)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(report_main(__doc__, OUTPUT, GATE, run))

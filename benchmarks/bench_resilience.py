@@ -35,9 +35,9 @@ failure scripts and seeded latency models; the socket overheads are
     bit-identical.
 
 Writes ``BENCH_resilience.json`` at the repository root; the committed
-full run is enforced by ``check_bench_regression.py
---resilience-baseline`` (which also gates CI smoke runs against the
-committed speedups).  Run directly::
+full run must hold >= 1.5x everywhere (``GATE`` below, stamped into
+the report and held by ``check_bench_regression.py``, which also gates
+CI smoke runs against the committed speedups).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_resilience.py           # full
     PYTHONPATH=src python benchmarks/bench_resilience.py --smoke   # CI
@@ -45,9 +45,7 @@ committed speedups).  Run directly::
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -69,9 +67,17 @@ from repro.services import (  # noqa: E402
     RetryPolicy,
     services_for_database,
 )
+from _util import report_main  # noqa: E402
 
 SEED = 20260808
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
+GATE = {
+    "key": ["part", "config"],
+    "min": {"speedup": 1.5},
+    "smoke_min": {"speedup": 1.2},
+    "within": {"speedup": 2.0},
+    "overlap": True,
+}
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
@@ -335,31 +341,5 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid for CI: exercises the script, not the hardware",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="report path (default: BENCH_resilience.json, or "
-        "BENCH_resilience.smoke.json with --smoke)",
-    )
-    args = parser.parse_args()
-    report = run(args.smoke)
-    output = args.output
-    if output is None:
-        output = (
-            OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-        )
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(report_main(__doc__, OUTPUT, GATE, run))

@@ -24,9 +24,10 @@ sharing is a throughput optimisation, never an accounting one.
 The headline number is ``speedup`` = private wall seconds / shared
 wall seconds for the whole workload (equivalently the throughput
 ratio); per-query completion latency percentiles ride along.  The
-committed full run must hold >= 1.5x on every configuration, enforced
-by ``check_bench_regression.py --server-baseline``, which also gates
-CI smoke runs against the committed speedups.  Run directly::
+committed full run must hold >= 1.5x on every configuration
+(``GATE`` below, stamped into the report and held by
+``check_bench_regression.py``, which also gates CI smoke runs against
+the committed speedups).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_server.py           # full
     PYTHONPATH=src python benchmarks/bench_server.py --smoke   # CI
@@ -34,8 +35,6 @@ CI smoke runs against the committed speedups.  Run directly::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -48,9 +47,17 @@ from repro.middleware.cost import AdmissionPolicy  # noqa: E402
 from repro.middleware.database import Database  # noqa: E402
 from repro.server import QueryService, QuerySpec  # noqa: E402
 from repro.services import LatencyModel, services_for_database  # noqa: E402
+from _util import report_main  # noqa: E402
 
 SEED = 20260808
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_server.json"
+GATE = {
+    "key": ["part", "config"],
+    "min": {"speedup": 1.5},
+    "smoke_min": {"speedup": 1.2},
+    "within": {"speedup": 2.0},
+    "overlap": True,
+}
 
 #: the workload template: (algorithm, aggregation, k), cycled over Q
 #: slots.  All NRA -- sorted-stream dominated, so the shared cursor is
@@ -243,31 +250,5 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid for CI: exercises the script, not the hardware",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            f"where to write the JSON report (default: {OUTPUT}; a smoke "
-            "run defaults to BENCH_server.smoke.json)"
-        ),
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-    report = run(args.smoke)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(report_main(__doc__, OUTPUT, GATE, run))

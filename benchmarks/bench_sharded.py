@@ -28,8 +28,6 @@ seconds.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -48,11 +46,14 @@ from repro.middleware.database import (  # noqa: E402
     ColumnarDatabase,
     ShardedDatabase,
 )
+from _util import report_main  # noqa: E402
 
 SEED = 20260729
 K = 10
 SHARD_COUNTS = [1, 2, 4, 8]
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sharded.json"
+#: no bars: the sharded sweep records costs, it gates nothing
+GATE = None
 CA_COSTS = CostModel(1.0, 5.0)
 
 
@@ -165,33 +166,5 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid for CI: exercises the script, not the hardware",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            f"where to write the JSON report (default: {OUTPUT}; a smoke "
-            "run defaults to BENCH_sharded.smoke.json)"
-        ),
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-        )
-    report = run(args.smoke)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(report_main(__doc__, OUTPUT, GATE, run))

@@ -29,11 +29,10 @@ JSON.  The parent then
 
 The headline per-run number is ``headroom`` = store bytes / resident
 delta: how many times larger the dataset is than what querying it kept
-resident.  ``check_bench_regression.py --store-baseline`` re-validates
-the committed ``BENCH_store.json`` (>= 10M rows, budget honoured,
-headroom >= its bar, query time under its ceiling) and holds a CI
-smoke run (``--store-smoke``) to its own recorded budgets.  Run
-directly::
+resident.  ``check_bench_regression.py`` re-validates the committed
+``BENCH_store.json`` against its ``gate`` block (``GATE`` below: >= 10M
+rows, budget honoured, headroom >= 2, query time under its ceiling) and
+holds a CI smoke run to its own recorded budgets.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_store.py           # full
     PYTHONPATH=src python benchmarks/bench_store.py --smoke   # CI
@@ -62,9 +61,24 @@ from repro.core import (  # noqa: E402
 )
 from repro.middleware.database import ColumnarDatabase  # noqa: E402
 from repro.store import open_store, save_store  # noqa: E402
+from _util import report_parser, write_report  # noqa: E402
 
 SEED = 20260808
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_store.json"
+_PER_RUN_FLOORS = {"ok": True, "results_match": True}
+_PER_RUN_CEILINGS = {
+    "resident_delta_bytes": "rss_budget_bytes",
+    "query_seconds": "query_budget_seconds",
+}
+#: no overlap bar: a smoke run cannot rebuild the committed dataset
+GATE = {
+    "key": ["config"],
+    "min": _PER_RUN_FLOORS,
+    "max": _PER_RUN_CEILINGS,
+    "smoke_min": _PER_RUN_FLOORS,
+    "smoke_max": _PER_RUN_CEILINGS,
+    "any_min": {"rows": 10_000_000, "headroom": 2.0},
+}
 
 AGGREGATIONS = {"average": AVERAGE, "sum": SUM, "max": MAX}
 #: query mixes: (label, algorithm factory, aggregation name, k).
@@ -313,21 +327,7 @@ def run(smoke: bool) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small dataset for CI: exercises the path, not the scale",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            f"where to write the JSON report (default: {OUTPUT}; a "
-            "smoke run defaults to BENCH_store.smoke.json)"
-        ),
-    )
+    parser = report_parser(__doc__, OUTPUT)
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     parser.add_argument(
         "--cache-bytes", type=int, default=None, help=argparse.SUPPRESS
@@ -341,15 +341,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.worker is not None:
         return worker(args)
-    output = args.output
-    if output is None:
-        output = (
-            OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-        )
-    report = run(smoke=args.smoke)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
+    return write_report(run(args.smoke), args, OUTPUT, GATE)
 
 
 if __name__ == "__main__":

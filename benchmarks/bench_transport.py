@@ -27,9 +27,10 @@ as calls to independent services would.
     backend's own merged orders.
 
 Writes ``BENCH_transport.json`` at the repository root; the committed
-full run must hold >= 2x overlap speedup everywhere (enforced by
-``check_bench_regression.py --transport-baseline``, which also gates
-CI smoke runs against the committed speedups).  Run directly::
+full run must hold >= 2x overlap speedup everywhere (``GATE`` below,
+stamped into the report and held by ``check_bench_regression.py``,
+which also gates CI smoke runs against the committed speedups).  Run
+directly::
 
     PYTHONPATH=src python benchmarks/bench_transport.py           # full
     PYTHONPATH=src python benchmarks/bench_transport.py --smoke   # CI
@@ -37,8 +38,6 @@ CI smoke runs against the committed speedups).  Run directly::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -57,10 +56,18 @@ from repro.services import (  # noqa: E402
     network_shard_runs,
 )
 from repro.transport import ServerProcess  # noqa: E402
+from _util import report_main  # noqa: E402
 
 SEED = 20260729
 K = 10
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
+GATE = {
+    "key": ["part", "config"],
+    "min": {"speedup": 2.0},
+    "smoke_min": {"speedup": 1.2},
+    "within": {"speedup": 2.0},
+    "overlap": True,
+}
 
 
 def _signature(result):
@@ -207,31 +214,5 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid for CI: exercises the script, not the hardware",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            f"where to write the JSON report (default: {OUTPUT}; a smoke "
-            "run defaults to BENCH_transport.smoke.json)"
-        ),
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-    report = run(args.smoke)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(report_main(__doc__, OUTPUT, GATE, run))

@@ -23,9 +23,10 @@ runs per mutation in the incremental arm) rides along and is the
 mechanism: the certificate screens out the overwhelming majority of
 mutations for O(m) aggregate evaluation each.
 
-The committed full run must hold >= 5x on every configuration,
-enforced by ``check_bench_regression.py --views-baseline``, which also
-gates CI smoke runs against the committed speedups.  Run directly::
+The committed full run must hold >= 5x on every configuration
+(``GATE`` below, stamped into the report and held by
+``check_bench_regression.py``, which also gates CI smoke runs against
+the committed speedups).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_views.py           # full
     PYTHONPATH=src python benchmarks/bench_views.py --smoke   # CI
@@ -33,8 +34,6 @@ gates CI smoke runs against the committed speedups.  Run directly::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -47,9 +46,17 @@ from repro.aggregation import AVERAGE  # noqa: E402
 from repro.core import ThresholdAlgorithm  # noqa: E402
 from repro.middleware import MutableColumnarDatabase  # noqa: E402
 from repro.views import LiveView  # noqa: E402
+from _util import report_main  # noqa: E402
 
 SEED = 20260808
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_views.json"
+GATE = {
+    "key": ["part", "config"],
+    "min": {"speedup": 5.0},
+    "smoke_min": {"speedup": 5.0},
+    "within": {"speedup": 2.0},
+    "overlap": True,
+}
 
 
 def _mutation_stream(rng: np.random.Generator, n: int, m: int, steps: int):
@@ -185,33 +192,5 @@ def run(smoke: bool) -> dict:
     return report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid for CI: exercises the script, not the hardware",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            f"where to write the JSON report (default: {OUTPUT}; a smoke "
-            "run defaults to BENCH_views.smoke.json)"
-        ),
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            OUTPUT.with_suffix(".smoke.json") if args.smoke else OUTPUT
-        )
-    report = run(smoke=args.smoke)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(report_main(__doc__, OUTPUT, GATE, run))

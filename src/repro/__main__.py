@@ -22,10 +22,30 @@ from .core import (
 from .middleware import CostModel
 
 
+USAGE = "usage: python -m repro [N >= 1] [m >= 1] [k, 1 <= k <= N]"
+
+
+def _parse(argv: list[str]) -> tuple[int, int, int] | None:
+    """``(N, m, k)`` from the command line, or None when any is not an
+    integer or is out of range."""
+    if len(argv) > 4:
+        return None
+    defaults = [10_000, 3, 10]
+    try:
+        n, m, k = [int(a) for a in argv[1:]] + defaults[len(argv) - 1 :]
+    except ValueError:
+        return None
+    if n < 1 or m < 1 or not 1 <= k <= n:
+        return None
+    return n, m, k
+
+
 def main(argv: list[str]) -> int:
-    n = int(argv[1]) if len(argv) > 1 else 10_000
-    m = int(argv[2]) if len(argv) > 2 else 3
-    k = int(argv[3]) if len(argv) > 3 else 10
+    parsed = _parse(argv)
+    if parsed is None:
+        print(USAGE, file=sys.stderr)
+        return 2
+    n, m, k = parsed
     cost_model = CostModel(sorted_cost=1.0, random_cost=5.0)
 
     db = datagen.uniform(n, m, seed=7)

@@ -58,3 +58,15 @@ def test_cli_module_runs(capsys):
     out = capsys.readouterr().out
     assert "certificate" in out
     assert "TA" in out
+
+
+@pytest.mark.parametrize(
+    "args", [["foo"], ["0"], ["10", "2", "50"]], ids=["not-int", "N0", "k>N"]
+)
+def test_cli_module_rejects_bad_arguments(capsys, args):
+    from repro.__main__ import main
+
+    assert main(["repro", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: python -m repro")

@@ -939,7 +939,18 @@ class TestDirectDatabasePath:
             deadline = time.monotonic() + 10
             while service.stats()["active"] and time.monotonic() < deadline:
                 time.sleep(0.01)
+            # the executor's worker drops its work item (which holds the
+            # session argument) only after the future it resolved has
+            # woken the loop, so the last session may outlive "inactive"
+            # by a few microseconds
+            deadline = time.monotonic() + 10
             gc.collect()
+            while (
+                any(ref() is not None for ref in sessions)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+                gc.collect()
             assert len(sessions) == len(handles) + 1
             assert [ref() for ref in sessions] == [None] * len(sessions)
             trace = obs.tracer.find(handles[0].query_id)
