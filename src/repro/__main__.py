@@ -6,6 +6,7 @@ cost comparison -- a 10-second tour of what the library does.
 
 from __future__ import annotations
 
+import os
 import sys
 
 from . import datagen
@@ -78,4 +79,13 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): point stdout at
+        # devnull so the interpreter's final flush cannot fail again,
+        # and exit without a traceback (the Python docs' SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -11,7 +11,6 @@ from .access import (
     AccessSession,
     AccessStats,
     ListCapabilities,
-    RoundBatch,
     SortedBatch,
 )
 from .cost import (
@@ -85,7 +84,6 @@ __all__ = [
     "ListMergeCursor",
     "shard_bounds_for",
     "SortedBatch",
-    "RoundBatch",
     "MiddlewareError",
     "DatabaseError",
     "AccessError",

@@ -20,7 +20,7 @@ Batched access plane
 --------------------
 
 The scalar methods (:meth:`AccessSession.sorted_access`,
-:meth:`AccessSession.random_access`) charge one access per call.  Four
+:meth:`AccessSession.random_access`) charge one access per call.  Three
 batched methods amortise the Python-level cost of the paper's inner
 loops **without changing the cost accounting in any way**:
 
@@ -28,9 +28,6 @@ loops **without changing the cost accounting in any way**:
   of one list and charges exactly the number of entries returned (a
   batch overrunning the end of the list returns, and charges, only what
   exists -- exhaustion stays free);
-* :meth:`AccessSession.sorted_access_round` performs one sorted access
-  on every sorted-capable, non-exhausted list in list order (the
-  lockstep round of NRA/CA), charging one access per entry returned;
 * :meth:`AccessSession.random_access_batch` fetches the grades of many
   objects from one list and charges ``len(objects)`` accesses --
   including repeats, exactly like the scalar method;
@@ -90,7 +87,6 @@ __all__ = [
     "AccessStats",
     "AccessSession",
     "SortedBatch",
-    "RoundBatch",
 ]
 
 
@@ -142,23 +138,6 @@ class SortedBatch:
     list_index: int
     objects: list
     grades: np.ndarray
-    rows: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.objects)
-
-    def __bool__(self) -> bool:
-        return bool(self.objects)
-
-
-@dataclass(frozen=True)
-class RoundBatch:
-    """Result of one :meth:`AccessSession.sorted_access_round` call: one
-    entry per sorted-capable, non-exhausted list, in list order."""
-
-    lists: list
-    objects: list
-    grades: list
     rows: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -479,69 +458,6 @@ class AccessSession:
                 )
             )
         return rows, grades, objects
-
-    def sorted_access_round(self) -> RoundBatch:
-        """One sorted access on every sorted-capable, non-exhausted list,
-        in list order -- the lockstep round of NRA and CA.  Charges one
-        access per entry returned.
-
-        Kept as public batched-plane API for algorithm authors writing
-        lockstep loops: the in-tree engines now speculate whole chunks
-        instead (see :meth:`columnar_view`), but a round-at-a-time
-        batched loop remains the simplest correct way to amortise the
-        scalar methods without taking on the speculation contract.
-        """
-        self._check_open()
-        db = self._columnar
-        if db is None:
-            lists: list[int] = []
-            objects: list = []
-            grades: list[float] = []
-            for i, caps in enumerate(self._capabilities):
-                if not caps.sorted_allowed:
-                    continue
-                entry = self.sorted_access(i)
-                if entry is None:
-                    continue
-                lists.append(i)
-                objects.append(entry[0])
-                grades.append(entry[1])
-            return RoundBatch(lists, objects, grades)
-        n = db.num_objects
-        lists: list[int] = []
-        row_list: list[int] = []
-        grades: list[float] = []
-        positions = self._positions
-        sorted_by_list = self._sorted_by_list
-        for i, caps in enumerate(self._capabilities):
-            if not caps.sorted_allowed:
-                continue
-            position = positions[i]
-            if position >= n:
-                continue
-            lists.append(i)
-            row_list.append(int(db._order_rows[i][position]))
-            grades.append(float(db._order_grades[i][position]))
-            positions[i] = position + 1
-            sorted_by_list[i] += 1
-        rows = np.asarray(row_list, dtype=np.intp)
-        objects = db.ids_for_rows(rows)
-        self._seen_sorted.update(objects)
-        if self.trace is not None:
-            # one batch event per list touched: each list advanced by
-            # exactly one entry this round (position is post-increment)
-            for pos_in_round, i in enumerate(lists):
-                self.trace.record(
-                    BatchAccessEvent(
-                        SORTED,
-                        i,
-                        (objects[pos_in_round],),
-                        (grades[pos_in_round],),
-                        positions[i] - 1,
-                        self.middleware_cost,
-                    )
-                )
-        return RoundBatch(lists, objects, grades, rows)
 
     def random_access_across(
         self, obj: Hashable, lists: Sequence[int]

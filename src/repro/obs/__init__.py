@@ -13,10 +13,11 @@ instrument itself:
 * :class:`~repro.obs.profile.QueryProbe` factories for the engines'
   round-boundary hook.
 
-Layers take ``obs: Observability | None = None``; with ``None`` (or a
-disabled plane) every factory hands out shared no-op objects, so the
-instrumented code path is identical either way and costs one attribute
-load plus an empty method call.  The hard contract -- enforced by the
+Layers take ``obs: Observability | None = None`` and resolve ``None``
+to :data:`NULL_OBS`, the shared disabled plane, whose every factory
+hands out shared no-op objects -- so the instrumented code path is
+identical either way and costs one attribute load plus an empty method
+call.  The hard contract -- enforced by the
 differential suite's instrumentation-on axis -- is **zero
 perturbation**: instrumentation on or off, results, tie order,
 ``AccessStats`` and trace bytes stay bit-identical, and observability
@@ -45,6 +46,7 @@ from .tracing import NULL_TRACE, QueryTrace, SlowQueryLog, Span, Tracer
 
 __all__ = [
     "Observability",
+    "NULL_OBS",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -110,3 +112,9 @@ class Observability:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"
         return f"<Observability {state}>"
+
+
+#: the shared disabled plane: a layer given ``obs=None`` asks this one
+#: for its instruments and gets :data:`NULL_INSTRUMENT` from every
+#: factory
+NULL_OBS = Observability(enabled=False)

@@ -10,13 +10,14 @@ like a single service -- but behind it sit any mix of
 
 failover
     Every network-shaped operation is a *stateless, idempotent* page or
-    batch request (the wrapper keeps the sorted-stream cursor itself,
-    like the wire protocol's clients).  When the current replica fails
-    with a :class:`~repro.middleware.errors.ServiceTimeoutError` /
+    batch request (the reader keeps the cursor:
+    :func:`~repro.services.protocol.read_pages`).  When the current
+    replica fails with a
+    :class:`~repro.middleware.errors.ServiceTimeoutError` /
     ``ServiceTransientError`` / ``ServiceUnavailableError``, the same
     request is re-issued verbatim against the next healthy replica --
-    so a mid-stream failover resumes at the exact page boundary and the
-    consumer sees a bit-identical stream.  Only when every replica has
+    so a mid-scan failover resumes at the exact page boundary and the
+    reader sees bit-identical pages.  Only when every replica has
     failed does the group raise
     :class:`~repro.middleware.errors.ReplicaGroupExhaustedError` (a
     ``ServiceUnavailableError``: the *group* is the unavailable
@@ -48,7 +49,7 @@ Duplicated work on a losing replica is wall-clock, never model cost.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import AsyncIterator, Sequence
+from collections.abc import Sequence
 from typing import Callable, Hashable
 
 from ..middleware.access import ListCapabilities
@@ -59,8 +60,8 @@ from ..middleware.errors import (
     ServiceTransientError,
     ServiceUnavailableError,
 )
-from ..obs.metrics import NULL_INSTRUMENT
-from ..services.protocol import SortedPage
+from ..obs import NULL_OBS
+from ..services.protocol import SortedPage, check_window
 from .breaker import CircuitBreaker, CircuitBreakerPolicy
 
 __all__ = ["ReplicatedGradedSource"]
@@ -151,27 +152,24 @@ class ReplicatedGradedSource:
         self.hedges_fired = 0
         #: requests won by a hedged (non-first) attempt
         self.hedge_wins = 0
-        if obs is None:
-            self._m_failovers = self._m_hedges = NULL_INSTRUMENT
-            self._m_hedge_wins = self._m_breaker_trips = NULL_INSTRUMENT
-        else:
-            labels = {"group": name}
-            self._m_failovers = obs.counter(
-                "repro_replica_failovers_total", labels,
-                help="requests re-issued on another replica",
-            )
-            self._m_hedges = obs.counter(
-                "repro_replica_hedges_total", labels,
-                help="hedge timers fired (speculative duplicates)",
-            )
-            self._m_hedge_wins = obs.counter(
-                "repro_replica_hedge_wins_total", labels,
-                help="requests won by a hedged attempt",
-            )
-            self._m_breaker_trips = obs.counter(
-                "repro_replica_breaker_trips_total", labels,
-                help="circuit breakers tripped open",
-            )
+        obs = obs if obs is not None else NULL_OBS
+        labels = {"group": name}
+        self._m_failovers = obs.counter(
+            "repro_replica_failovers_total", labels,
+            help="requests re-issued on another replica",
+        )
+        self._m_hedges = obs.counter(
+            "repro_replica_hedges_total", labels,
+            help="hedge timers fired (speculative duplicates)",
+        )
+        self._m_hedge_wins = obs.counter(
+            "repro_replica_hedge_wins_total", labels,
+            help="requests won by a hedged attempt",
+        )
+        self._m_breaker_trips = obs.counter(
+            "repro_replica_breaker_trips_total", labels,
+            help="circuit breakers tripped open",
+        )
 
     # ------------------------------------------------------------------
     # protocol surface
@@ -303,29 +301,10 @@ class ReplicatedGradedSource:
     async def page(self, start: int, count: int) -> SortedPage:
         """One stateless page ``[start, start + count)`` of the sorted
         list, served by whichever replica answers first/healthily."""
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        check_window(start, count)
         return await self._execute(
             lambda r: r.page(start, count), "page"
         )
-
-    async def sorted_access_stream(
-        self, batch_size: int
-    ) -> AsyncIterator[SortedPage]:
-        """Client-side cursor over stateless pages: a replica dying
-        mid-stream resumes on the next one at the exact page boundary,
-        so the stream is bit-identical to a failure-free run."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        position = 0
-        while position < self._num_entries:
-            page = await self.page(position, batch_size)
-            if not page.objects:
-                break
-            position += len(page.objects)
-            yield page
 
     async def random_access_batch(
         self, objects: Sequence[Hashable]

@@ -5,9 +5,9 @@ every sorted entry **it** consumes.  A server running many concurrent
 queries over the same lists would naively open one sorted cursor per
 (query, list) and pay the service latency once per consumer.  The scan
 cache collapses that: per list there is **one**
-:class:`~repro.services.session.SharedListScan` -- one underlying
-``sorted_access_stream`` cursor whose pages append to an
-immutable-prefix materialization -- and every query's
+:class:`~repro.services.session.SharedListScan` -- one cursor paging
+the source (:func:`~repro.services.protocol.read_pages`) whose pages
+append to an immutable-prefix materialization -- and every query's
 :class:`~repro.services.session.ServiceSession` reads that prefix at
 its own pace.
 

@@ -91,7 +91,7 @@ from ..middleware.errors import (
     UnknownViewError,
 )
 from ..middleware.mutable import MutableDatabase
-from ..obs import NULL_INSTRUMENT, Observability
+from ..obs import NULL_OBS, Observability
 from ..views import LiveView, ViewEvent
 from ..services.assemble import _per_list
 from ..services.protocol import RemoteGradedSource
@@ -548,76 +548,57 @@ class QueryService:
         self._obs = obs
         # pre-resolved instruments: NULL_INSTRUMENT when the plane is
         # absent/disabled, so the hot paths below never branch on obs
-        _c = obs.counter if obs is not None else None
-        _g = obs.gauge if obs is not None else None
-        _h = obs.histogram if obs is not None else None
-        if _c is None or _g is None or _h is None:
-            null = NULL_INSTRUMENT
-            self._m_submitted = null
-            self._m_refused = null
-            self._m_outcomes = {
-                "ok": null, "cancelled": null, "error": null
-            }
-            self._m_queued = null
-            self._m_active = null
-            self._m_duration = null
-            self._m_cost = null
-            self._m_sorted = null
-            self._m_random = null
-            self._m_mutations = {
-                "insert": null, "update": null, "delete": null
-            }
-            self._m_views = null
-        else:
-            self._m_submitted = _c(
-                "repro_queries_submitted_total",
-                help="queries admitted (queued or started)",
+        plane = obs if obs is not None else NULL_OBS
+        _c, _g, _h = plane.counter, plane.gauge, plane.histogram
+        self._m_submitted = _c(
+            "repro_queries_submitted_total",
+            help="queries admitted (queued or started)",
+        )
+        self._m_refused = _c(
+            "repro_queries_refused_total",
+            help="submissions refused at admission",
+        )
+        self._m_outcomes = {
+            outcome: _c(
+                "repro_queries_finished_total",
+                {"outcome": outcome},
+                help="terminal queries by outcome",
             )
-            self._m_refused = _c(
-                "repro_queries_refused_total",
-                help="submissions refused at admission",
+            for outcome in ("ok", "cancelled", "error")
+        }
+        self._m_queued = _g(
+            "repro_queries_queued", help="admission queue depth"
+        )
+        self._m_active = _g(
+            "repro_queries_active", help="queries currently running"
+        )
+        self._m_duration = _h(
+            "repro_query_wall_seconds",
+            help="submit-to-terminal wall time",
+        )
+        self._m_cost = _h(
+            "repro_query_middleware_cost",
+            help="per-query charged middleware cost s*cS + r*cR",
+        )
+        self._m_sorted = _c(
+            "repro_sorted_accesses_total",
+            help="charged sorted accesses across finished queries",
+        )
+        self._m_random = _c(
+            "repro_random_accesses_total",
+            help="charged random accesses across finished queries",
+        )
+        self._m_mutations = {
+            action: _c(
+                "repro_mutations_total",
+                {"action": action},
+                help="applied mutations by action",
             )
-            self._m_outcomes = {
-                outcome: _c(
-                    "repro_queries_finished_total",
-                    {"outcome": outcome},
-                    help="terminal queries by outcome",
-                )
-                for outcome in ("ok", "cancelled", "error")
-            }
-            self._m_queued = _g(
-                "repro_queries_queued", help="admission queue depth"
-            )
-            self._m_active = _g(
-                "repro_queries_active", help="queries currently running"
-            )
-            self._m_duration = _h(
-                "repro_query_wall_seconds",
-                help="submit-to-terminal wall time",
-            )
-            self._m_cost = _h(
-                "repro_query_middleware_cost",
-                help="per-query charged middleware cost s*cS + r*cR",
-            )
-            self._m_sorted = _c(
-                "repro_sorted_accesses_total",
-                help="charged sorted accesses across finished queries",
-            )
-            self._m_random = _c(
-                "repro_random_accesses_total",
-                help="charged random accesses across finished queries",
-            )
-            self._m_mutations = {
-                action: _c(
-                    "repro_mutations_total",
-                    {"action": action},
-                    help="applied mutations by action",
-                )
-                for action in ("insert", "update", "delete")
-            }
-            self._m_views = _g(
-                "repro_views_active", help="standing views registered"
-            )
+            for action in ("insert", "update", "delete")
+        }
+        self._m_views = _g(
+            "repro_views_active", help="standing views registered"
+        )
 
     # ------------------------------------------------------------------
     # introspection

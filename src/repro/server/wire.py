@@ -86,6 +86,7 @@ from ..middleware.errors import (
     WireFormatError,
 )
 from ..core.result import RankedItem, TopKResult
+from ..services.protocol import check_window
 from ..transport.frames import BASE_ERROR_CODES, FrameConnection, FrameServer
 from .service import ALGORITHMS, AGGREGATIONS, QueryService, QuerySpec
 
@@ -214,6 +215,12 @@ def _check_valve(db: ColumnarDatabase) -> None:
     none)."""
     if db._valve is not None:
         db._valve.check()
+
+
+def _retrieve(future: asyncio.Future) -> None:
+    """Mark a finished future's exception as retrieved."""
+    if not future.cancelled():
+        future.exception()
 
 
 #: how long one ``result`` long-poll waits server-side before replying
@@ -389,10 +396,7 @@ class QueryServer(FrameServer):
         the end of the list), or when its grades alone (8 bytes an
         entry) could not fit one frame."""
         start, count = int(message["start"]), int(message["count"])
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        check_window(start, count)
         stop = min(start + count, length)
         if (stop - start) * 8 > self._max_frame:
             raise WireFormatError(
@@ -474,12 +478,15 @@ class QueryServer(FrameServer):
             raise WireFormatError(f"bad timeout {timeout!r}")
         timeout = min(float(timeout), MAX_RESULT_WAIT_S)
         state = self._service.query_state(query_id)
+        outcome = asyncio.wrap_future(state.future)
+        # a timed-out poll abandons this wrapper, and shield stops
+        # watching it: retrieve its outcome here, or a later cancel's
+        # exception is logged as never retrieved
+        outcome.add_done_callback(_retrieve)
         try:
             # shielded: a poll that times out must not cancel the
             # query's own future -- a later poll still collects it
-            result = await asyncio.wait_for(
-                asyncio.shield(asyncio.wrap_future(state.future)), timeout
-            )
+            result = await asyncio.wait_for(asyncio.shield(outcome), timeout)
         except asyncio.TimeoutError:
             return {"done": False, "status": state.status}
         finally:

@@ -16,22 +16,25 @@ helpers, pointed the other way -- local data *into* remote services):
   run of a :class:`~repro.middleware.database.ShardedDatabase`: the
   distributed form of PR 3's shard layout.
 
-Drain adapters (how prefetched batches reach the engines unmodified):
+Drain adapters (how served pages reach the engines unmodified).  Each
+pages its sources with :func:`~repro.services.protocol.read_pages`:
 
-* :func:`assemble_remote_database` -- concurrently drain all sorted
-  streams into a :class:`~repro.middleware.database.ColumnarDatabase`
-  (or :class:`~repro.middleware.database.ShardedDatabase`) plus the
+* :func:`assemble_remote_database` -- concurrently drain every list
+  (:func:`drain_columns`) into a
+  :class:`~repro.middleware.database.ColumnarDatabase` (or
+  :class:`~repro.middleware.database.ShardedDatabase`) plus the
   matching capability vector.  The drained backend is identical to one
   built locally -- tie order is the services' authoritative order --
   so the speculative chunked engines of TA/NRA/CA/Stream-Combine run
   on it *unmodified* and bit-for-bit equal to every other backend.
-* :func:`fetch_merged_orders` -- gather the ``S`` run streams of each
-  list (overlapped, or sequential round-robin for the baseline) and
-  feed them to a :class:`~repro.middleware.database.ListMergeCursor`
-  k-way merge: exact global sorted order out of per-shard remote
-  streams, however the arrivals interleaved.
+* :func:`fetch_merged_orders` -- gather the ``S`` runs of each list
+  (:func:`fetch_run` for each, overlapped, or sequential round-robin
+  for the baseline) and feed them to a
+  :class:`~repro.middleware.database.ListMergeCursor` k-way merge:
+  exact global sorted order out of per-shard remote runs, however the
+  arrivals interleaved.
 
-Both drain modes produce identical bytes; only wall-clock differs
+Both gather modes produce identical bytes; only wall-clock differs
 (``benchmarks/bench_async.py`` measures the gap).
 """
 
@@ -51,7 +54,7 @@ from ..middleware.database import (
 )
 from ..middleware.errors import DatabaseError
 from ..middleware.sources import GradedSource
-from .protocol import RemoteGradedSource, RunStreamSource
+from .protocol import RemoteGradedSource, RunPage, RunStreamSource, read_pages
 from .simulated import (
     FailureModel,
     LatencyModel,
@@ -66,6 +69,7 @@ __all__ = [
     "shard_run_services",
     "drain_columns",
     "assemble_remote_database",
+    "fetch_run",
     "fetch_merged_orders",
 ]
 
@@ -188,62 +192,32 @@ def shard_run_services(
 # drain adapters
 # ----------------------------------------------------------------------
 
-async def _drain_sorted(
+async def _drain_column(
     service: RemoteGradedSource, batch_size: int
 ) -> list[tuple]:
     entries: list[tuple] = []
-    async for page in service.sorted_access_stream(batch_size):
-        entries.extend(zip(page.objects, page.grades))
+    async for page in read_pages(
+        service.page, service.num_entries, batch_size
+    ):
+        entries.extend(page)
     return entries
 
 
-async def _drain_columns_overlapped(
-    services: Sequence[RemoteGradedSource], batch_size: int
-) -> list[list[tuple]]:
-    return list(
-        await asyncio.gather(
-            *(_drain_sorted(s, batch_size) for s in services)
-        )
-    )
-
-
-async def _drain_columns_round_robin(
-    services: Sequence[RemoteGradedSource], batch_size: int
-) -> list[list[tuple]]:
-    """The sequential baseline: one page in flight at a time, cycling
-    the services -- what a synchronous single-threaded client does."""
-    columns: list[list[tuple]] = [[] for _ in services]
-    streams = [s.sorted_access_stream(batch_size) for s in services]
-    live = list(range(len(services)))
-    while live:
-        still: list[int] = []
-        for i in live:
-            try:
-                page = await anext(streams[i])
-            except StopAsyncIteration:
-                continue
-            columns[i].extend(zip(page.objects, page.grades))
-            still.append(i)
-        live = still
-    return columns
-
-
 def drain_columns(
-    services: Sequence[RemoteGradedSource],
-    *,
-    batch_size: int = 256,
-    sequential: bool = False,
+    services: Sequence[RemoteGradedSource], *, batch_size: int = 256
 ) -> list[list[tuple]]:
-    """Drain every service's sorted stream to completion; returns one
-    ``[(object, grade), ...]`` column per service, in the exact order
-    served.  ``sequential`` uses the round-robin baseline instead of
-    overlapping the streams; the columns are identical either way."""
+    """Page every service's sorted list to its end, all services at
+    once; returns one ``[(object, grade), ...]`` column per service, in
+    the exact order served."""
     if not services:
         raise DatabaseError("need at least one service")
-    drainer = (
-        _drain_columns_round_robin if sequential else _drain_columns_overlapped
-    )
-    return asyncio.run(drainer(services, batch_size))
+
+    async def _drain_all():
+        return await asyncio.gather(
+            *(_drain_column(s, batch_size) for s in services)
+        )
+
+    return list(asyncio.run(_drain_all()))
 
 
 def assemble_remote_database(
@@ -251,13 +225,12 @@ def assemble_remote_database(
     num_shards: int | None = None,
     *,
     batch_size: int = 256,
-    sequential: bool = False,
 ) -> tuple[ColumnarDatabase, list[ListCapabilities]]:
     """Drain remote services into a columnar (or sharded) backend plus
     the matching capability vector -- the async twin of
     :func:`~repro.middleware.sources.assemble_database`.
 
-    The services' streams are drained concurrently (the overlap is
+    The services' lists are drained concurrently (the overlap is
     where the wall-clock win lives; see ``benchmarks/bench_async.py``)
     and compiled with
     :meth:`~repro.middleware.database.Database.from_columns` semantics:
@@ -273,9 +246,7 @@ def assemble_remote_database(
         raise DatabaseError(
             "at least one service must support sorted access (|Z| >= 1)"
         )
-    columns = drain_columns(
-        services, batch_size=batch_size, sequential=sequential
-    )
+    columns = drain_columns(services, batch_size=batch_size)
     universe = {obj for obj, _ in columns[0]}
     for service, column in zip(services[1:], columns[1:]):
         if {obj for obj, _ in column} != universe:
@@ -291,45 +262,49 @@ def assemble_remote_database(
     return database, [s.capabilities() for s in services]
 
 
-async def _gather_runs_overlapped(
-    shard_services: Sequence[RunStreamSource], batch_size: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    return list(
-        await asyncio.gather(
-            *(s.fetch_run(batch_size) for s in shard_services)
+def _concat_run(pages: Sequence[RunPage]) -> RunPage:
+    if not pages:
+        return RunPage(
+            np.empty(0, dtype=np.intp),
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=np.int64),
         )
+    return RunPage(*(np.concatenate(parts) for parts in zip(*pages)))
+
+
+async def fetch_run(source: RunStreamSource, batch_size: int) -> RunPage:
+    """Page one shard run to its end and concatenate it into one
+    ``(rows, grades, ties)`` run."""
+    return _concat_run(
+        [
+            page
+            async for page in read_pages(
+                source.run_page, source.num_entries, batch_size
+            )
+        ]
     )
 
 
-async def _gather_runs_round_robin(
-    shard_services: Sequence[RunStreamSource], batch_size: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    parts: list[list[tuple]] = [[] for _ in shard_services]
-    streams = [s.run_stream(batch_size) for s in shard_services]
-    live = list(range(len(shard_services)))
+async def _fetch_runs_round_robin(
+    sources: Sequence[RunStreamSource], batch_size: int
+) -> list[RunPage]:
+    """The sequential baseline: one page in flight at a time, cycling
+    the sources -- what a synchronous single-threaded client does."""
+    readers = [
+        read_pages(s.run_page, s.num_entries, batch_size) for s in sources
+    ]
+    parts: list[list[RunPage]] = [[] for _ in sources]
+    live = list(range(len(sources)))
     while live:
         still: list[int] = []
         for s in live:
             try:
-                chunk = await anext(streams[s])
+                parts[s].append(await anext(readers[s]))
             except StopAsyncIteration:
                 continue
-            parts[s].append(chunk)
             still.append(s)
         live = still
-    runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for s, chunks in enumerate(parts):
-        if chunks:
-            runs.append(tuple(np.concatenate(a) for a in zip(*chunks)))
-        else:
-            runs.append(
-                (
-                    np.empty(0, dtype=np.intp),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.int64),
-                )
-            )
-    return runs
+    return [_concat_run(pages) for pages in parts]
 
 
 def fetch_merged_orders(
@@ -338,32 +313,31 @@ def fetch_merged_orders(
     batch_size: int = 512,
     sequential: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gather every list's per-shard run streams and k-way merge them.
+    """Gather every list's per-shard runs and k-way merge them.
 
-    All ``S x m`` streams are drained concurrently (or by sequential
-    round-robin for the baseline), then each list's runs feed a
+    All ``S x m`` runs are paged concurrently (or, with ``sequential``,
+    one list at a time by round-robin with one page in flight -- the
+    benchmarks' baseline), then each list's runs feed a
     :class:`~repro.middleware.database.ListMergeCursor` whose
     vectorised drain reconstructs the global ``(rows, grades)`` order
     -- bit-identical to the owning
     :class:`~repro.middleware.database.ShardedDatabase`'s own merged
-    orders, tie placement included.
+    orders, tie placement included.  Both modes make the same calls and
+    give the same arrays; only wall-clock differs.
     """
     if not grid:
         raise DatabaseError("need at least one list of run services")
 
     async def _gather_all():
-        gather = (
-            _gather_runs_round_robin if sequential else _gather_runs_overlapped
-        )
         if sequential:
-            # strict baseline: one list at a time, one page in flight
-            out: list[list] = []
-            for shard_services in grid:
-                out.append(await gather(shard_services, batch_size))
-            return out
-        return list(
-            await asyncio.gather(
-                *(gather(shard_services, batch_size) for shard_services in grid)
+            return [
+                await _fetch_runs_round_robin(sources, batch_size)
+                for sources in grid
+            ]
+        return await asyncio.gather(
+            *(
+                asyncio.gather(*(fetch_run(s, batch_size) for s in sources))
+                for sources in grid
             )
         )
 

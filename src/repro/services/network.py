@@ -5,8 +5,9 @@
 Where the simulated factories wrap *local data* as services, these
 connect to a running :class:`~repro.server.wire.QueryServer` over a
 database -- the ``python -m repro.server`` daemon, in this process,
-another process, or another machine -- and return
-sources satisfying the very same contracts -- so
+another process, or another machine -- and return sources satisfying
+the very same contracts (each ``page``/``run_page`` call is one
+stateless request; the reader keeps the cursor) -- so
 :class:`~repro.services.session.AsyncAccessSession`,
 :func:`~repro.services.assemble.assemble_remote_database` and
 :func:`~repro.services.assemble.fetch_merged_orders` run over real

@@ -9,11 +9,18 @@ of a real middleware is communication, not local compute.  This module
 pins down the asynchronous wire contract the rest of
 :mod:`repro.services` builds on:
 
-* :class:`RemoteGradedSource` -- one attribute's service.  It streams
-  its graded list best-first in pages (*sorted access*) and answers
-  named-object grade probes (*random access*), both asynchronously.
-* :class:`SortedPage` -- one page of a sorted stream: parallel
-  ``objects`` / ``grades`` sequences in list order.
+* :class:`RemoteGradedSource` -- one attribute's service.  It serves
+  *stateless* pages of its graded list best-first (*sorted access*:
+  ``page(start, count)``) and answers named-object grade probes
+  (*random access*), both asynchronously.
+* :class:`RunStreamSource` -- one shard's sorted run of one list,
+  served the same way (``run_page(start, count)``).
+* :class:`SortedPage` / :class:`RunPage` -- one page of a list / of a
+  run.
+* :func:`read_pages` -- the one sequential reader: it pages a source
+  from position 0 to its end.  The middleware owns every cursor (the
+  paper's depth ``d_i``); a source only answers "the entries at these
+  positions", so a retried or failed-over page is idempotent.
 
 The protocol deliberately mirrors the two access modes of Section 2 and
 nothing else: capabilities (a web search engine that forbids random
@@ -32,20 +39,28 @@ speculation, the asynchronous sibling of the
 
 from __future__ import annotations
 
-from collections.abc import AsyncIterator, Sequence
+from collections.abc import AsyncIterator, Awaitable, Callable, Sequence
 from dataclasses import dataclass
-from typing import Hashable, Protocol, runtime_checkable
+from typing import Hashable, NamedTuple, Protocol, TypeVar, runtime_checkable
+
+import numpy as np
 
 from ..middleware.access import ListCapabilities
 
-__all__ = ["SortedPage", "RemoteGradedSource", "RunStreamSource"]
+__all__ = [
+    "SortedPage",
+    "RunPage",
+    "RemoteGradedSource",
+    "RunStreamSource",
+    "check_window",
+    "read_pages",
+]
 
 
 @dataclass(frozen=True)
 class SortedPage:
-    """One page of a sorted-access stream: the next ``len(objects)``
-    entries of the list, best grade first, ties in the service's
-    authoritative order."""
+    """One page of a sorted list: ``len(objects)`` consecutive entries,
+    best grade first, ties in the service's authoritative order."""
 
     objects: list
     grades: list[float]
@@ -55,6 +70,15 @@ class SortedPage:
 
     def __iter__(self):
         return iter(zip(self.objects, self.grades))
+
+
+class RunPage(NamedTuple):
+    """One page of a shard run: parallel ``(rows, grades, ties)``
+    arrays, already in merge-key order *(grade desc, tie asc)*."""
+
+    rows: np.ndarray
+    grades: np.ndarray
+    ties: np.ndarray
 
 
 @runtime_checkable
@@ -89,11 +113,10 @@ class RemoteGradedSource(Protocol):
         """The per-list capability vector entry this service induces."""
         ...
 
-    def sorted_access_stream(
-        self, batch_size: int
-    ) -> AsyncIterator[SortedPage]:
-        """Stream the graded list best-first in pages of up to
-        ``batch_size`` entries (the final page may be short)."""
+    async def page(self, start: int, count: int) -> SortedPage:
+        """Entries ``[start, start + count)`` of the sorted list (short
+        or empty past the end), one service call.  Stateless: the
+        caller keeps the cursor (:func:`read_pages`)."""
         ...
 
     async def random_access_batch(
@@ -121,11 +144,44 @@ class RunStreamSource(Protocol):
     def num_entries(self) -> int:
         ...
 
-    def run_stream(self, batch_size: int):
-        """Page out the run as ``(rows, grades, ties)`` array triples
-        (an async iterator)."""
+    async def run_page(self, start: int, count: int) -> RunPage:
+        """Entries ``[start, start + count)`` of the run (short or
+        empty past the end), one service call."""
         ...
 
-    async def fetch_run(self, batch_size: int):
-        """Drain the whole stream into one concatenated run triple."""
-        ...
+
+def check_window(start: int, count: int) -> None:
+    """Refuse a page request that is negative or empty (a negative
+    start would slice from the end of the list)."""
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+
+
+_Page = TypeVar("_Page", SortedPage, RunPage)
+
+
+async def read_pages(
+    read: Callable[[int, int], Awaitable[_Page]],
+    num_entries: int,
+    batch_size: int,
+) -> AsyncIterator[_Page]:
+    """Page a source from position 0: ``await read(start, batch_size)``
+    at consecutive starts, yielding each page, until ``num_entries``
+    entries are in or a page comes back empty.
+
+    ``read`` is a source's ``page`` or ``run_page``.  This is the one
+    sequential reader over sources: the scans, the column drain and
+    the run gather all use it, so paging ``N`` entries at ``b`` makes
+    exactly ``ceil(N / b)`` calls, ``(0, b), (b, b), ...``.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    position = 0
+    while position < num_entries:
+        page = await read(position, batch_size)
+        if not len(page.grades):
+            return
+        position += len(page.grades)
+        yield page

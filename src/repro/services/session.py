@@ -4,7 +4,9 @@ charging.
 :class:`ServiceSession` gives the paper's algorithms -- unmodified --
 accounted access to ``m`` remote graded sources.  It reads every
 list's sorted entries from one :class:`SharedListScan`, an append-only
-published prefix with a single page fetcher behind it, and bridges its
+published prefix with a single fetcher behind it (the fetcher pages the
+source with :func:`~repro.services.protocol.read_pages`; the scan, not
+the source, owns the cursor), and bridges its
 random accesses onto the event loop that owns the services' I/O.
 Where the scans come from is the only difference between its two uses:
 
@@ -66,7 +68,7 @@ from ..middleware.errors import (
     UnknownObjectError,
     WildGuessError,
 )
-from .protocol import RemoteGradedSource
+from .protocol import RemoteGradedSource, read_pages
 
 __all__ = ["SharedListScan", "ServiceSession", "AsyncAccessSession"]
 
@@ -193,8 +195,11 @@ class SharedListScan:
     async def _fetch(self) -> None:
         self._wake = asyncio.Event()
         try:
-            stream = self._source.sorted_access_stream(self._batch_size)
-            async for page in stream:
+            source = self._source
+            pages = read_pages(
+                source.page, source.num_entries, self._batch_size
+            )
+            async for page in pages:
                 with self.cond:
                     # grades first: readers' lock-free fast path gates
                     # on len(objects), which must trail grades
@@ -214,7 +219,7 @@ class SharedListScan:
             raise
         except BaseException as exc:
             # every reader of the scan sees the same failure (resilient
-            # sources fail over *inside* the stream, so only truly
+            # sources fail over *inside* a page request, so only truly
             # exhausted sources end up here)
             with self.cond:
                 self.error = exc
@@ -447,7 +452,7 @@ class ServiceSession(AccessSession):
         objects), so once ``len(objects) > position`` both are readable
         without the lock; the fetcher is asked for more only when this
         reader nears the frontier.  Otherwise block until the prefix
-        covers ``position``, the stream ends or fails, or the session
+        covers ``position``, the scan ends or fails, or the session
         is cancelled or closed.  The check before the read is
         :meth:`~repro.middleware.access.AccessSession.sorted_access`'s.
         """
@@ -477,7 +482,7 @@ class ServiceSession(AccessSession):
             return scan.objects[position], scan.grades[position]
         if scan.error is not None:
             raise scan.error
-        return None  # stream exhausted
+        return None  # list exhausted
 
     # -- random-access bridging ----------------------------------------
     def _bridge_random(self, i: int, objects: list) -> list[float]:

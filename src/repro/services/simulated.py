@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from collections.abc import AsyncIterator, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -46,7 +46,7 @@ from ..middleware.errors import (
     ServiceUnavailableError,
     UnknownObjectError,
 )
-from .protocol import SortedPage
+from .protocol import RunPage, SortedPage, check_window
 
 __all__ = [
     "LatencyModel",
@@ -301,36 +301,11 @@ class SimulatedListService(_SimulatedEndpoint):
             random_allowed=self.supports_random,
         )
 
-    async def sorted_access_stream(
-        self, batch_size: int
-    ) -> AsyncIterator[SortedPage]:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        position = 0
-        entries = self._entries
-        while position < len(entries):
-            await self._call()
-            page = entries[position : position + batch_size]
-            position += len(page)
-            yield SortedPage(
-                [obj for obj, _ in page], [g for _, g in page]
-            )
-
     async def page(self, start: int, count: int) -> SortedPage:
-        """One *stateless* page: entries ``[start, start + count)`` of
-        the sorted list, one service call.
-
-        This is the request shape of the wire protocol
-        (:mod:`repro.transport`), whose clients keep their own cursors
-        so that a retried request is idempotent.  Paged sequentially at
-        a fixed ``count`` it makes exactly the calls of
-        :meth:`sorted_access_stream`, latency and failure injection
-        included.
-        """
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        """One stateless page: entries ``[start, start + count)`` of
+        the sorted list, one service call (latency and failure
+        injection included)."""
+        check_window(start, count)
         await self._call()
         page = self._entries[start : start + count]
         return SortedPage([obj for obj, _ in page], [g for _, g in page])
@@ -364,11 +339,11 @@ class SimulatedListService(_SimulatedEndpoint):
 
 
 class ShardRunService(_SimulatedEndpoint):
-    """One shard's sorted run of one list as a remote stream.
+    """One shard's sorted run of one list as a remote service.
 
     This is the distributed twin of
     :class:`~repro.middleware.database.ShardedDatabase`'s per-shard run
-    storage: the service streams its ``(rows, grades, ties)`` triple in
+    storage: the service serves its ``(rows, grades, ties)`` triple in
     pages, already sorted by the merge key *(grade desc, tie asc)*, and
     a :class:`~repro.middleware.database.ListMergeCursor` over the
     gathered runs reconstructs the exact global sorted order --
@@ -400,43 +375,16 @@ class ShardRunService(_SimulatedEndpoint):
     def num_entries(self) -> int:
         return len(self._rows)
 
-    async def run_stream(
-        self, batch_size: int
-    ) -> AsyncIterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Page out the run as ``(rows, grades, ties)`` array triples."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        position = 0
-        total = len(self._rows)
-        while position < total:
-            await self._call()
-            stop = min(position + batch_size, total)
-            yield (
-                self._rows[position:stop],
-                self._grades[position:stop],
-                self._ties[position:stop],
-            )
-            position = stop
-
-    async def fetch_run(
-        self, batch_size: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Drain the whole stream into one concatenated run triple."""
-        rows_parts, grade_parts, tie_parts = [], [], []
-        async for rows, grades, ties in self.run_stream(batch_size):
-            rows_parts.append(rows)
-            grade_parts.append(grades)
-            tie_parts.append(ties)
-        if not rows_parts:
-            return (
-                np.empty(0, dtype=np.intp),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-        return (
-            np.concatenate(rows_parts),
-            np.concatenate(grade_parts),
-            np.concatenate(tie_parts),
+    async def run_page(self, start: int, count: int) -> RunPage:
+        """One stateless page: entries ``[start, start + count)`` of
+        the run, one service call."""
+        check_window(start, count)
+        await self._call()
+        stop = start + count
+        return RunPage(
+            self._rows[start:stop],
+            self._grades[start:stop],
+            self._ties[start:stop],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

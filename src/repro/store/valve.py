@@ -55,7 +55,7 @@ import mmap
 import os
 import threading
 
-from ..obs.metrics import NULL_INSTRUMENT
+from ..obs import NULL_OBS
 
 __all__ = ["DEFAULT_CACHE_BYTES", "ResidencyValve"]
 
@@ -130,28 +130,25 @@ class ResidencyValve:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if obs is None:
-            self._m_hits = self._m_misses = NULL_INSTRUMENT
-            self._m_evictions = self._m_resident = NULL_INSTRUMENT
-        else:
-            self._m_hits = obs.counter(
-                "repro_store_valve_hits_total",
-                help="store residency checks within budget",
-            )
-            self._m_misses = obs.counter(
-                "repro_store_valve_misses_total",
-                help="store residency checks over budget (each released "
-                "the store's map)",
-            )
-            self._m_evictions = obs.counter(
-                "repro_store_released_pages_total",
-                help="resident store pages handed back by valve releases",
-            )
-            self._m_resident = obs.gauge(
-                "repro_store_resident_bytes",
-                help="file-backed resident growth past the valve's floor "
-                "at its last check",
-            )
+        obs = obs if obs is not None else NULL_OBS
+        self._m_hits = obs.counter(
+            "repro_store_valve_hits_total",
+            help="store residency checks within budget",
+        )
+        self._m_misses = obs.counter(
+            "repro_store_valve_misses_total",
+            help="store residency checks over budget (each released "
+            "the store's map)",
+        )
+        self._m_evictions = obs.counter(
+            "repro_store_released_pages_total",
+            help="resident store pages handed back by valve releases",
+        )
+        self._m_resident = obs.gauge(
+            "repro_store_resident_bytes",
+            help="file-backed resident growth past the valve's floor "
+            "at its last check",
+        )
 
     @property
     def slice_rows(self) -> int | None:

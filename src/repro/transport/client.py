@@ -5,9 +5,10 @@
 the ``python -m repro.server`` daemon's source ops (any
 :class:`~repro.server.wire.QueryServer` over a database), so everything
 built on that protocol -- :class:`~repro.services.session.AsyncAccessSession`,
-:func:`~repro.services.assemble.assemble_remote_database`,
-:func:`~repro.services.assemble.drain_columns` -- runs across a real
-process boundary *unmodified*.  :class:`NetworkRunSource` mirrors
+:func:`~repro.services.assemble.assemble_remote_database`, every
+reader paging through :func:`~repro.services.protocol.read_pages` --
+runs across a real process boundary *unmodified*.
+:class:`NetworkRunSource` mirrors
 :class:`~repro.services.simulated.ShardRunService` the same way for
 :func:`~repro.services.assemble.fetch_merged_orders`.
 
@@ -18,7 +19,7 @@ All sources created from one :class:`TransportClient` share its
 connection pool.  Connections are **multiplexed**: each request frame
 carries an id, a background reader task routes response frames to the
 matching waiter, so any number of concurrent requests (the session's
-``m`` prefetch streams, a ``S x m`` shard drain) share ``pool_size``
+``m`` prefetching scans, a ``S x m`` shard drain) share ``pool_size``
 sockets.  Because asyncio connections are bound to the loop that
 created them, the pool is kept *per running loop* -- the same client
 works from ``asyncio.run`` drains and from the session's private
@@ -54,13 +55,13 @@ from __future__ import annotations
 
 import asyncio
 import weakref
-from collections.abc import AsyncIterator, Sequence
+from collections.abc import Sequence
 from typing import Hashable
 
 import numpy as np
 
 from ..middleware.access import ListCapabilities
-from ..obs.metrics import NULL_INSTRUMENT
+from ..obs import NULL_INSTRUMENT, NULL_OBS
 from ..middleware.errors import (
     RemoteServiceError,
     ServiceTimeoutError,
@@ -78,7 +79,7 @@ from ..middleware.serialization import (
     encode_frame,
     frame_header_info,
 )
-from ..services.protocol import SortedPage
+from ..services.protocol import RunPage, SortedPage, check_window
 from ..services.simulated import RetryPolicy
 
 __all__ = ["TransportClient", "NetworkGradedSource", "NetworkRunSource"]
@@ -249,26 +250,23 @@ class TransportClient:
         self._compress_threshold = compress_threshold
         self._pools: dict[int, _LoopPool] = {}
         self._retry_rng = self._retry.sampler()
-        if obs is None:
-            self._m_requests = self._m_retries = NULL_INSTRUMENT
-            self._m_bytes_out = self._m_bytes_in = NULL_INSTRUMENT
-        else:
-            self._m_requests = obs.counter(
-                "repro_client_requests_total",
-                help="wire requests issued (attempts counted once)",
-            )
-            self._m_retries = obs.counter(
-                "repro_client_retries_total",
-                help="connection-level failures retried",
-            )
-            self._m_bytes_out = obs.counter(
-                "repro_client_bytes_sent_total",
-                help="request bytes (headers + payloads)",
-            )
-            self._m_bytes_in = obs.counter(
-                "repro_client_bytes_received_total",
-                help="response bytes (headers + payloads)",
-            )
+        obs = obs if obs is not None else NULL_OBS
+        self._m_requests = obs.counter(
+            "repro_client_requests_total",
+            help="wire requests issued (attempts counted once)",
+        )
+        self._m_retries = obs.counter(
+            "repro_client_retries_total",
+            help="connection-level failures retried",
+        )
+        self._m_bytes_out = obs.counter(
+            "repro_client_bytes_sent_total",
+            help="request bytes (headers + payloads)",
+        )
+        self._m_bytes_in = obs.counter(
+            "repro_client_bytes_received_total",
+            help="response bytes (headers + payloads)",
+        )
 
     # ------------------------------------------------------------------
     # connection pool (per running loop; see the module docstring)
@@ -437,10 +435,9 @@ class NetworkGradedSource:
     """One remote attribute's graded list, reached over the wire.
 
     Satisfies :class:`~repro.services.protocol.RemoteGradedSource`:
-    the sorted stream issues stateless page requests (the client keeps
-    the cursor, so a retried page is idempotent) and
-    ``random_access_batch`` is one request -- hence one round trip --
-    for the whole batch.
+    ``page`` is one stateless request (the caller keeps the cursor, so
+    a retried page is idempotent) and ``random_access_batch`` is one
+    request -- hence one round trip -- for the whole batch.
     """
 
     def __init__(
@@ -470,15 +467,9 @@ class NetworkGradedSource:
         )
 
     async def page(self, start: int, count: int) -> SortedPage:
-        """One *stateless* page: entries ``[start, start + count)`` of
-        the remote sorted list, one request (the wire twin of
-        :meth:`~repro.services.simulated.SimulatedListService.page`).
-        Exposed so replicated wrappers can keep the cursor themselves
-        and resume at an exact page boundary on another replica."""
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        """One stateless page: entries ``[start, start + count)`` of
+        the remote sorted list, one request."""
+        check_window(start, count)
         response = await self._client.request(
             {
                 "op": "page",
@@ -495,19 +486,6 @@ class NetworkGradedSource:
         ):
             raise WireFormatError(f"malformed page from {self.name!r}")
         return SortedPage(objects, grades.tolist())
-
-    async def sorted_access_stream(
-        self, batch_size: int
-    ) -> AsyncIterator[SortedPage]:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        position = 0
-        while position < self._num_entries:
-            page = await self.page(position, batch_size)
-            if not page.objects:
-                break
-            position += len(page.objects)
-            yield page
 
     async def random_access_batch(
         self, objects: Sequence[Hashable]
@@ -531,7 +509,7 @@ class NetworkGradedSource:
 
 
 class NetworkRunSource:
-    """One shard's sorted run of one list, streamed over the wire --
+    """One shard's sorted run of one list, paged over the wire --
     the network twin of
     :class:`~repro.services.simulated.ShardRunService`, accepted
     anywhere :func:`~repro.services.assemble.fetch_merged_orders`
@@ -555,60 +533,31 @@ class NetworkRunSource:
     def num_entries(self) -> int:
         return self._num_entries
 
-    async def run_stream(
-        self, batch_size: int
-    ) -> AsyncIterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        position = 0
-        while position < self._num_entries:
-            response = await self._client.request(
-                {
-                    "op": "run_page",
-                    "list": self._list,
-                    "shard": self._shard,
-                    "start": position,
-                    "count": batch_size,
-                },
-                service=self.name,
-            )
-            rows = response["rows"]
-            grades = response["grades"]
-            ties = response["ties"]
-            if not all(
-                isinstance(a, np.ndarray) for a in (rows, grades, ties)
-            ) or not (len(rows) == len(grades) == len(ties)):
-                raise WireFormatError(
-                    f"malformed run page from {self.name!r}"
-                )
-            if not len(rows):
-                break
-            position += len(rows)
-            yield (
-                rows.astype(np.intp, copy=False),
-                grades,
-                ties.astype(np.int64, copy=False),
-            )
-
-    async def fetch_run(
-        self, batch_size: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Drain the whole stream into one concatenated run triple."""
-        rows_parts, grade_parts, tie_parts = [], [], []
-        async for rows, grades, ties in self.run_stream(batch_size):
-            rows_parts.append(rows)
-            grade_parts.append(grades)
-            tie_parts.append(ties)
-        if not rows_parts:
-            return (
-                np.empty(0, dtype=np.intp),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-        return (
-            np.concatenate(rows_parts),
-            np.concatenate(grade_parts),
-            np.concatenate(tie_parts),
+    async def run_page(self, start: int, count: int) -> RunPage:
+        """One stateless page: entries ``[start, start + count)`` of
+        the remote run, one request."""
+        check_window(start, count)
+        response = await self._client.request(
+            {
+                "op": "run_page",
+                "list": self._list,
+                "shard": self._shard,
+                "start": start,
+                "count": count,
+            },
+            service=self.name,
+        )
+        rows = response["rows"]
+        grades = response["grades"]
+        ties = response["ties"]
+        if not all(
+            isinstance(a, np.ndarray) for a in (rows, grades, ties)
+        ) or not (len(rows) == len(grades) == len(ties)):
+            raise WireFormatError(f"malformed run page from {self.name!r}")
+        return RunPage(
+            rows.astype(np.intp, copy=False),
+            grades,
+            ties.astype(np.int64, copy=False),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

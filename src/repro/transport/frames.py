@@ -48,7 +48,7 @@ from ..middleware.serialization import (
     encode_frame,
     frame_header_info,
 )
-from ..obs.metrics import NULL_INSTRUMENT
+from ..obs import NULL_OBS
 
 __all__ = ["FrameServer", "FrameConnection", "BASE_ERROR_CODES"]
 
@@ -136,34 +136,30 @@ class FrameServer:
         self._thread: threading.Thread | None = None
         self._closed = False
         # wire-level instruments (no-ops without an obs plane)
-        if obs is None:
-            self._m_frames_in = self._m_frames_out = NULL_INSTRUMENT
-            self._m_bytes_in = self._m_bytes_out = NULL_INSTRUMENT
-            self._m_connections = self._m_error_frames = NULL_INSTRUMENT
-        else:
-            self._m_frames_in = obs.counter(
-                "repro_server_frames_received_total",
-                help="request frames decoded",
-            )
-            self._m_frames_out = obs.counter(
-                "repro_server_frames_sent_total",
-                help="response frames written",
-            )
-            self._m_bytes_in = obs.counter(
-                "repro_server_bytes_received_total",
-                help="request bytes (headers + payloads)",
-            )
-            self._m_bytes_out = obs.counter(
-                "repro_server_bytes_sent_total",
-                help="response bytes (headers + payloads)",
-            )
-            self._m_connections = obs.gauge(
-                "repro_server_connections", help="open connections"
-            )
-            self._m_error_frames = obs.counter(
-                "repro_server_error_frames_total",
-                help="responses that carried an error code",
-            )
+        obs = obs if obs is not None else NULL_OBS
+        self._m_frames_in = obs.counter(
+            "repro_server_frames_received_total",
+            help="request frames decoded",
+        )
+        self._m_frames_out = obs.counter(
+            "repro_server_frames_sent_total",
+            help="response frames written",
+        )
+        self._m_bytes_in = obs.counter(
+            "repro_server_bytes_received_total",
+            help="request bytes (headers + payloads)",
+        )
+        self._m_bytes_out = obs.counter(
+            "repro_server_bytes_sent_total",
+            help="response bytes (headers + payloads)",
+        )
+        self._m_connections = obs.gauge(
+            "repro_server_connections", help="open connections"
+        )
+        self._m_error_frames = obs.counter(
+            "repro_server_error_frames_total",
+            help="responses that carried an error code",
+        )
 
     # ------------------------------------------------------------------
     # async lifecycle

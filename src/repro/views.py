@@ -47,7 +47,7 @@ from .middleware.access import AccessStats
 from .middleware.cost import CostModel, UNIT_COSTS
 from .middleware.errors import DatabaseError
 from .middleware.mutable import MutableDatabase, MutationEvent
-from .obs.metrics import NULL_INSTRUMENT
+from .obs import NULL_OBS
 
 __all__ = ["LiveView", "ViewEvent"]
 
@@ -150,26 +150,23 @@ class LiveView:
         self.mutations_seen = 0
         self.refreshes = 0
         self.events_emitted = 0
-        if obs is None:
-            self._m_mutations = self._m_refreshes = NULL_INSTRUMENT
-            self._m_screens = self._m_events = NULL_INSTRUMENT
-        else:
-            self._m_mutations = obs.counter(
-                "repro_view_mutations_seen_total",
-                help="mutations observed by live views",
-            )
-            self._m_refreshes = obs.counter(
-                "repro_view_refreshes_total",
-                help="engine re-runs (certificate demanded a refresh)",
-            )
-            self._m_screens = obs.counter(
-                "repro_view_certified_screens_total",
-                help="mutations screened out by the bound certificate",
-            )
-            self._m_events = obs.counter(
-                "repro_view_events_total",
-                help="add/change/remove deltas emitted",
-            )
+        obs = obs if obs is not None else NULL_OBS
+        self._m_mutations = obs.counter(
+            "repro_view_mutations_seen_total",
+            help="mutations observed by live views",
+        )
+        self._m_refreshes = obs.counter(
+            "repro_view_refreshes_total",
+            help="engine re-runs (certificate demanded a refresh)",
+        )
+        self._m_screens = obs.counter(
+            "repro_view_certified_screens_total",
+            help="mutations screened out by the bound certificate",
+        )
+        self._m_events = obs.counter(
+            "repro_view_events_total",
+            help="add/change/remove deltas emitted",
+        )
         self._result: TopKResult | None = None
         self._members: dict[Hashable, RankedItem] = {}
         self._ranks: dict[Hashable, int] = {}

@@ -3,6 +3,8 @@ tests/helpers.py)."""
 
 from __future__ import annotations
 
+import gc
+import logging
 import os
 import signal
 import threading
@@ -10,6 +12,49 @@ import threading
 import pytest
 
 from repro.middleware import Database
+
+
+class _UnretrievedExceptions(logging.Handler):
+    """Collects asyncio's "exception was never retrieved" reports: a
+    future or task whose failure nobody read is a lost error."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.reports: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if "exception was never retrieved" in message:
+            if record.exc_info:
+                message += "\n" + logging.Formatter().formatException(
+                    record.exc_info
+                )
+            self.reports.append(message)
+
+
+_UNRETRIEVED = _UnretrievedExceptions()
+
+
+def pytest_sessionstart(session):
+    logging.getLogger("asyncio").addHandler(_UNRETRIEVED)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run when any asyncio exception went unretrieved (the
+    reports fire when the future is collected, so collect first)."""
+    gc.collect()
+    logging.getLogger("asyncio").removeHandler(_UNRETRIEVED)
+    if not _UNRETRIEVED.reports:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    reporter.write_line(
+        f"{len(_UNRETRIEVED.reports)} asyncio exception(s) were never "
+        "retrieved:",
+        red=True,
+    )
+    for report in _UNRETRIEVED.reports:
+        reporter.write_line(report)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

@@ -135,25 +135,6 @@ def test_capability_checks_apply_to_batches(db):
     assert session.sorted_accesses == 0
 
 
-def test_sorted_access_round_is_one_lockstep_round(db):
-    session = AccessSession(db)
-    scalar = AccessSession(db)
-    rb = session.sorted_access_round()
-    reference = [(i, *scalar.sorted_access(i)) for i in range(M)]
-    assert rb.lists == [i for i, *_ in reference]
-    assert rb.objects == [obj for _, obj, _ in reference]
-    assert rb.grades == [g for *_, g in reference]
-    assert session.stats() == scalar.stats()
-
-
-def test_sorted_access_round_skips_exhausted_lists(db):
-    session = AccessSession(db)
-    session.sorted_access_batch(0, N)  # exhaust list 0
-    rb = session.sorted_access_round()
-    assert rb.lists == [1, 2]
-    assert len(rb) == 2
-
-
 def test_trace_recording_composes_with_the_batch_plane(db):
     """Tracing no longer disables the columnar fast path: the scalar
     backend records one event per access, the columnar backend one
@@ -419,7 +400,6 @@ class TestCombinedAlgorithmPhaseAccounting:
             "sorted_access",
             "random_access",
             "sorted_access_batch",
-            "sorted_access_round",
             "random_access_batch",
             "random_access_across",
             "charge_schedule",

@@ -2,7 +2,10 @@
 it promises.  Examples are executed in-process with a trimmed __main__
 environment so failures give real tracebacks."""
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,25 @@ def test_cli_module_rejects_bad_arguments(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: python -m repro")
+
+
+def test_cli_module_survives_a_closed_pipe():
+    """``python -m repro ... | head -1``: the reader closes after one
+    line and the CLI exits without a traceback."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(EXAMPLES.parent / "src"),
+        PYTHONUNBUFFERED="1",  # each print reaches the pipe at once
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "2000", "2", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline().startswith(b"top-3")
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    child.wait(timeout=60)
+    assert "Traceback" not in stderr

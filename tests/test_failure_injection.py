@@ -338,7 +338,8 @@ class TestRemoteServiceFailures:
 
         service = SimulatedListService("s", [("a", 0.5)])
         with pytest.raises(ValueError):
-            asyncio.run(anext(service.sorted_access_stream(0)))
+            asyncio.run(service.page(0, 0))
+        assert service.calls == 0
 
 
 @pytest.mark.async_services
@@ -360,7 +361,7 @@ class TestConnectionFailures:
         two pages served, never 2.5."""
         import asyncio
 
-        from repro.services import RetryPolicy, network_services
+        from repro.services import RetryPolicy, network_services, read_pages
         from repro.transport import ServerProcess
 
         db = self._db(n=30, m=1)
@@ -371,7 +372,7 @@ class TestConnectionFailures:
 
             async def consume():
                 served = []
-                stream = source.sorted_access_stream(4)
+                stream = read_pages(source.page, source.num_entries, 4)
                 for _ in range(2):
                     page = await anext(stream)
                     served.extend(page)

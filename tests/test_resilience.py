@@ -70,6 +70,7 @@ from repro.services import (
     RetryPolicy,
     network_client,
     network_services,
+    read_pages,
     services_for_database,
 )
 from repro.server import QueryServer, QueryService
@@ -289,7 +290,7 @@ class TestReplicatedSourceInProcess:
 
         async def drain():
             out = []
-            async for page in group.sorted_access_stream(5):
+            async for page in read_pages(group.page, group.num_entries, 5):
                 out.extend(zip(page.objects, page.grades))
             return out
 

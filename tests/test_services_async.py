@@ -49,6 +49,7 @@ from repro.services import (
     assemble_remote_database,
     drain_columns,
     fetch_merged_orders,
+    read_pages,
     services_for_database,
     services_for_sources,
     shard_run_services,
@@ -77,7 +78,7 @@ class TestSimulatedListService:
 
         async def drain():
             pages = []
-            async for page in service.sorted_access_stream(3):
+            async for page in read_pages(service.page, service.num_entries, 3):
                 pages.append(page)
             return pages
 
@@ -503,9 +504,11 @@ class TestDrainAdapters:
 
     def test_sequential_and_overlapped_drains_agree(self, db):
         fast = drain_columns(services_for_database(db), batch_size=7)
-        slow = drain_columns(
-            services_for_database(db), batch_size=7, sequential=True
-        )
+        # one service at a time, so one page in flight
+        slow = [
+            drain_columns([service], batch_size=7)[0]
+            for service in services_for_database(db)
+        ]
         assert fast == slow
         for i, column in enumerate(fast):
             assert column == [

@@ -56,8 +56,11 @@ from repro.services import (
     network_client,
     network_services,
     network_shard_runs,
+    read_pages,
     services_for_database,
+    shard_run_services,
 )
+from repro.resilience import ReplicatedGradedSource
 from repro.server import (
     QueryServer,
     QueryService,
@@ -112,9 +115,11 @@ class TestInThreadServer:
 
     def test_sequential_and_overlapped_drains_agree(self, server):
         fast = drain_columns(network_services(server.address), batch_size=11)
-        slow = drain_columns(
-            network_services(server.address), batch_size=11, sequential=True
-        )
+        # one source at a time, so one page in flight
+        slow = [
+            drain_columns([source], batch_size=11)[0]
+            for source in network_services(server.address)
+        ]
         assert fast == slow
 
     def test_session_scalar_access_parity(self, db, server):
@@ -325,6 +330,107 @@ class TestInThreadServer:
 
         with pytest.raises(ServiceUnavailableError):
             asyncio.run(probe())
+
+
+#: every page-serving source kind: three list sources, two run sources
+PAGE_SOURCES = [
+    "simulated",
+    "network",
+    "replicated",
+    "simulated-run",
+    "network-run",
+]
+
+
+def page_source(kind, db, server):
+    """``(read, num_entries, reference)`` for one source kind: its
+    ``page``/``run_page``, its ``N`` and the entries it must serve, as
+    ``(object, grade)`` pairs or ``(row, grade, tie)`` triples."""
+    if kind.endswith("-run"):
+        runs = db.to_sharded(2).list_runs(1)
+        if kind == "network-run":
+            source = network_shard_runs(server.address)[1][1]
+        else:
+            source = shard_run_services(db.to_sharded(2))[1][1]
+        reference = list(zip(*(a.tolist() for a in runs[1])))
+        return source.run_page, source.num_entries, reference
+    if kind == "simulated":
+        source = services_for_database(db)[1]
+    elif kind == "network":
+        source = network_services(server.address)[1]
+    else:
+        source = ReplicatedGradedSource(
+            "list-1",
+            [
+                network_services(server.address)[1],
+                services_for_database(db)[1],
+            ],
+        )
+    reference = [db.sorted_entry(1, p) for p in range(db.num_objects)]
+    return source.page, source.num_entries, reference
+
+
+def entries(page) -> list[tuple]:
+    if hasattr(page, "objects"):
+        return list(page)
+    return list(zip(*(a.tolist() for a in page)))
+
+
+class TestPageContract:
+    """Every source serves the same stateless pages, and the one pager
+    reads any of them in ``ceil(N / b)`` calls."""
+
+    @pytest.mark.parametrize("kind", PAGE_SOURCES)
+    def test_pages_at_every_boundary(self, kind, db, server):
+        read, n, reference = page_source(kind, db, server)
+        assert n == len(reference)
+        windows = [
+            (0, 1),
+            (0, 7),
+            (5, 7),
+            (n - 1, 1),
+            (n - 3, 7),  # count runs past the end
+            (0, n),
+            (0, n + 5),
+            (n, 1),  # start == n: an empty page
+            (n, 4),
+        ]
+
+        async def go():
+            return [entries(await read(*window)) for window in windows]
+
+        for (start, count), served in zip(windows, run_async(go())):
+            assert served == reference[start : start + count]
+
+    @pytest.mark.parametrize("kind", PAGE_SOURCES)
+    def test_refuses_negative_or_empty_windows(self, kind, db, server):
+        read, _, _ = page_source(kind, db, server)
+        for window in ((-1, 4), (0, 0)):
+            with pytest.raises(ValueError):
+                run_async(read(*window))
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 30, 64])
+    @pytest.mark.parametrize("kind", PAGE_SOURCES)
+    def test_pager_makes_ceil_n_over_b_calls(
+        self, kind, batch_size, db, server
+    ):
+        read, n, reference = page_source(kind, db, server)
+        calls = []
+
+        async def counted(start, count):
+            calls.append((start, count))
+            return await read(start, count)
+
+        async def go():
+            return [
+                entry
+                async for page in read_pages(counted, n, batch_size)
+                for entry in entries(page)
+            ]
+
+        assert run_async(go()) == reference
+        assert len(calls) == -(-n // batch_size)
+        assert calls == [(p, batch_size) for p in range(0, n, batch_size)]
 
 
 class TestHostileSourceOps:
