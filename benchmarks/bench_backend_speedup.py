@@ -67,14 +67,21 @@ def _signature(result):
     )
 
 
-def _time_run(algo, db, aggregation, k, repeats, cost_model):
-    best = float("inf")
-    result = None
+def _time_arms(algo, dbs, aggregation, k, repeats, cost_model):
+    """Best-of-``repeats`` seconds and the last result on each of
+    ``dbs``.  The arms' runs alternate, so a change of host speed
+    mid-measurement slows both arms alike instead of skewing their
+    ratio."""
+    best = [float("inf")] * len(dbs)
+    results = [None] * len(dbs)
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = algo.run_on(db, aggregation, k, cost_model=cost_model)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for arm, db in enumerate(dbs):
+            start = time.perf_counter()
+            results[arm] = algo.run_on(
+                db, aggregation, k, cost_model=cost_model
+            )
+            best[arm] = min(best[arm], time.perf_counter() - start)
+    return best, results
 
 
 def run(smoke: bool) -> dict:
@@ -108,11 +115,8 @@ def run(smoke: bool) -> dict:
             (StreamCombine(), UNIT_COSTS),
         ]
         for algo, cost_model in contenders:
-            scalar_s, scalar_res = _time_run(
-                algo, scalar_db, AVERAGE, K, repeats, cost_model
-            )
-            columnar_s, columnar_res = _time_run(
-                algo, columnar_db, AVERAGE, K, repeats, cost_model
+            (scalar_s, columnar_s), (scalar_res, columnar_res) = _time_arms(
+                algo, (scalar_db, columnar_db), AVERAGE, K, repeats, cost_model
             )
             if _signature(scalar_res) != _signature(columnar_res):
                 raise AssertionError(

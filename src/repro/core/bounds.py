@@ -34,10 +34,14 @@ updates).  This store instead keeps two lazily-invalidated max-heaps:
 as a correctness oracle for the tests and for the Remark 8.7 ablation
 benchmark.
 
-Two additions serve the chunked execution engines
-(:class:`ArrayCandidateStore` below; see :mod:`repro.core.nra`,
-:mod:`repro.core.ca` and :mod:`repro.core.stream_combine` for the
-engines themselves):
+The chunked execution engines use :class:`ArrayCandidateStore` below
+(see :mod:`repro.core.nra`, :mod:`repro.core.ca` and
+:mod:`repro.core.stream_combine` for the engines themselves).  It keeps
+the ``W``-heap but replaces the ``B``-heap with one vectorised
+*candidate pool*: the seen rows in discovery order with cached ``B``
+values, pruned by the same permanent discard and scanned in blocks with
+``aggregate_batch``.  Two more members keep the two stores' decisions
+identical:
 
 ``current_mk``
     the exact value ``M_k`` (the k-th largest ``W``), maintained
@@ -57,7 +61,7 @@ engines themselves):
     and refresh history (e.g. which halting checks ran), so it must not
     decide which object CA random-accesses; discovery order is a
     property of the database alone, identical across backends and
-    bookkeeping modes.
+    bookkeeping modes (the pool's row order is the same order).
 """
 
 from __future__ import annotations
@@ -101,8 +105,8 @@ class CandidateStore:
         self._discovery: dict[Hashable, int] = {}
         #: number of B evaluations performed (for the bookkeeping
         #: ablation).  NOTE: backend-dependent by design -- the columnar
-        #: engines' M_k gate, witness shortcut, and lazy-heap pruning
-        #: legitimately skip evaluations the scalar loop performs, so
+        #: engines' M_k gate, witness shortcut, and candidate-pool scans
+        #: legitimately evaluate other bounds than the scalar loop, so
         #: compare this metric only between runs on the same backend
         #: (results and AccessStats are backend-identical; this internal
         #: work counter is not).
@@ -379,29 +383,43 @@ class CandidateStore:
         return best[2] if best is not None else None
 
 
+#: pool positions per evaluation block of the candidate-pool scans
+_POOL_BLOCK = 256
+
+
 class ArrayCandidateStore(CandidateStore):
     """Row-keyed, array-backed candidate store for the chunked engines
     of NRA, CA and Stream-Combine.
 
     Candidates are row indices into an ``(N, m)`` float64 field matrix
     (NaN = unknown) that the engines fill with one vectorised scatter per
-    chunk instead of per-entry dict updates.  Only the members the
-    halting machinery reads (``b_value`` / ``fully_known`` /
-    ``exact_grade`` / ``seen_count``) are overridden; the lazy heaps,
-    the incremental ``M_k`` tracker and ``find_viable_outside`` work
-    unchanged because they only ever touch candidates through those
-    hooks.  ``fields`` dicts and ``_discovery`` are *not* maintained --
-    the scalar reference loops keep the dict store, and the chunked CA
-    engine selects its phase targets through its own discovery-ordered
-    candidate array (the vectorised equivalent of
-    :meth:`CandidateStore.best_random_access_target`; see
-    :mod:`repro.core.ca`) rather than through the heap scan.
+    chunk instead of per-entry dict updates.  The ``W`` side is the
+    scalar store's, fed through :meth:`note_w`: the ``W``-heap,
+    :meth:`current_topk` and the incremental ``M_k`` tracker touch
+    candidates only through ``b_value``.  ``fields`` dicts,
+    ``_discovery`` and the ``B``-heap are *not* maintained.
+
+    Upper bounds live in one *candidate pool* instead: the seen rows in
+    discovery order (``pool_rows``, joined by :meth:`join` at their first
+    sorted appearance), each with a cached ``B`` (``pool_b``) -- the
+    bound of that first entry, overwritten whenever a scan evaluates the
+    row afresh.  Bottoms only fall and a known field is at most the
+    bottom it replaced, so a cached ``B`` is never below the row's fresh
+    ``B``; the cutoffs the scans are given never fall either (``M_k``
+    only grows), so a row whose bound is at or below the cutoff is
+    dropped from the pool for good -- the scalar store's
+    ``_never_viable`` discard, vectorised.  Both viability queries read
+    the pool and evaluate fresh ``B`` with one ``aggregate_batch`` per
+    block of the highest cached bounds: :meth:`find_viable_outside` (the
+    halting check) and :meth:`best_random_access_target` (CA's phase
+    target, where discovery order makes "first row among the maxima"
+    the canonical tie-break).
 
     :meth:`resolve_row_fields` serves CA's random-access phase: it
     replays, against the field matrix, the exact per-field ``record``
     sequence the scalar loop performs when it resolves the chosen
-    target (intermediate ``W`` recomputations, version bumps, heap
-    pushes, ``M_k`` notes), so every later heap decision is
+    target (intermediate ``W`` recomputations, version bumps, ``W``-heap
+    pushes, ``M_k`` notes), so every later ``T_k`` decision is
     order-identical to the scalar run.
     """
 
@@ -415,9 +433,8 @@ class ArrayCandidateStore(CandidateStore):
         super().__init__(aggregation, m, k, naive=False)
         self.field_matrix = np.full((num_rows, m), np.nan, dtype=np.float64)
         self.seen_count_value = 0
-        #: first-block size for the blocked viability scan (adapted to
-        #: what the previous scan needed; see find_viable_outside)
-        self._viable_scan_hint = k + 1
+        self.pool_rows = np.empty(0, dtype=np.intp)
+        self.pool_b = np.empty(0, dtype=np.float64)
 
     @property
     def seen_count(self) -> int:
@@ -445,112 +462,154 @@ class ArrayCandidateStore(CandidateStore):
             return self.w[row]
         return None
 
+    def note_w(self, row, w: float) -> None:
+        """Record ``row``'s new lower bound ``w``: the ``W`` half of the
+        scalar ``record`` (version bump, ``W``-heap push, ``M_k``
+        note)."""
+        version = self._version.get(row, 0) + 1
+        self._version[row] = version
+        self.w[row] = w
+        self._seq += 1
+        heapq.heappush(self._w_heap, (-w, self._seq, row, version))
+        self._mk_note(row, w)
+
+    # ------------------------------------------------------------------
+    # the candidate pool
+    # ------------------------------------------------------------------
+    def join(self, rows: np.ndarray, bounds: np.ndarray) -> None:
+        """Append newly seen ``rows`` (in discovery order) to the pool,
+        with the cached ``B`` of each one's first sorted entry."""
+        self.pool_rows = np.concatenate((self.pool_rows, rows))
+        self.pool_b = np.concatenate((self.pool_b, bounds))
+
+    def _prune(self, cutoff: float) -> None:
+        keep = self.pool_b > cutoff
+        if not keep.all():
+            self.pool_rows = self.pool_rows[keep]
+            self.pool_b = self.pool_b[keep]
+
+    def _highest(self, idxs: np.ndarray) -> tuple[np.ndarray, float]:
+        """The (at most ``_POOL_BLOCK``) pool positions among ``idxs``
+        with the highest cached bounds, and the pivot: the block's
+        lowest cached bound, which no position left out exceeds
+        (``-inf`` when none is left out)."""
+        if idxs.size <= _POOL_BLOCK:
+            return idxs, -np.inf
+        cut = idxs.size - _POOL_BLOCK
+        part = np.argpartition(self.pool_b[idxs], cut)
+        return idxs[part[cut:]], self.pool_b[idxs[part[cut]]]
+
+    def _evaluate(self, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh ``B`` of the pool positions ``idxs`` under the current
+        bottoms (stored back as their cached bounds), and which of them
+        still miss a field."""
+        # column-major block: one contiguous row per list, so the
+        # bottoms fill and the missing test run along the lists' columns
+        sub = self.field_matrix.take(self.pool_rows[idxs], axis=0).T.copy()
+        unknown = np.isnan(sub)
+        bottoms_col = np.asarray(self.bottoms, dtype=np.float64)[:, None]
+        np.copyto(sub, bottoms_col, where=unknown)
+        fresh = self.t.aggregate_batch(sub.T)
+        self.b_evaluations += idxs.size
+        self.pool_b[idxs] = fresh
+        return fresh, np.logical_or.reduce(unknown, axis=0)
+
+    def _viable_in(
+        self, idxs: np.ndarray, topk_set: set, m_k: float
+    ) -> tuple | None:
+        """The earliest-discovered row among the ascending pool
+        positions ``idxs`` that lies outside ``topk_set`` with fresh
+        ``B > m_k``, or ``None``."""
+        fresh, _ = self._evaluate(idxs)
+        # at most len(topk) + 1 steps
+        for j in np.nonzero(fresh > m_k)[0].tolist():
+            row = int(self.pool_rows[idxs[j]])
+            if row not in topk_set:
+                return row, float(fresh[j])
+        return None
+
     def find_viable_outside(
         self, topk: list, m_k: float
     ) -> tuple | None:
-        """Blocked-vectorised form of the lazy ``B``-heap scan.
+        """A pool row outside ``topk`` with fresh ``B > m_k``, or
+        ``None``.
 
-        The scalar scan pops one heap entry at a time and re-evaluates
-        its fresh ``B`` through a per-row :meth:`b_value` call -- for
-        the chunked engines, that is one Python-level aggregation per
-        top-k member per full halting check.  Here live entries whose
-        cached ``B`` exceeds ``M_k`` are popped in blocks and
-        re-evaluated with one ``aggregate_batch`` over the field matrix
-        (bottoms substituted for NaN), exactly like CA's phase-target
-        selection.  Heap pop order is preserved, so the first fresh-
-        viable row outside ``topk`` -- the returned witness -- is the
-        same entry the scalar scan would have found; entries past it in
-        the same block are merely refreshed (their cached keys only
-        tighten, which is always sound) and the ``fresh <= M_k``
-        discard is identical.  Outputs, halting decisions and
-        ``AccessStats`` are unchanged (differential-tested); only the
-        per-check Python work shrinks.
+        ``None`` comes back exactly when the scalar store's heap scan
+        returns ``None``: rows are dropped only once a bound at or below
+        ``m_k`` proves they can never be viable again, and every other
+        row is evaluated before ``None`` is returned.  The block of the
+        highest cached bounds goes first (a viable row is usually among
+        them); when it holds none outside ``topk``, the rest is
+        evaluated in one call.
 
-        Block sizing is adaptive: the first block matches what the
-        *previous* scan needed (NRA's rare full checks wade through
-        thousands of cached-viable entries; CA's witness-gated checks
-        typically need a few dozen; over-evaluating would add work, not
-        remove it), and subsequent blocks grow geometrically when the
-        guess falls short.
+        Which row comes back only decides which of the engines' later
+        halting checks a standing witness lets them skip.  It is the
+        earliest-discovered one of its block: the highest bounds are
+        exactly the rows CA's phases resolve next, and a resolved
+        witness proves nothing, while an early row with a high bound
+        stays viable for long in NRA and Stream-Combine too.
         """
-        heap = self._b_heap
-        versions = self._version
-        never = self._never_viable
+        self._prune(m_k)
+        size = self.pool_b.size
+        if not size:
+            return None
         topk_set = set(topk)
-        matrix = self.field_matrix
-        bottoms_row = np.asarray(self.bottoms, dtype=np.float64)
-        pushback: list[tuple[float, int, object, int]] = []
-        found: tuple | None = None
-        block_size = max(self._viable_scan_hint, 1)
-        examined = 0
-        while found is None:
-            block: list[tuple[float, int, object, int]] = []
-            while heap and len(block) < block_size:
-                neg_b, _, row, version = heap[0]
-                if version != versions.get(row) or row in never:
-                    heapq.heappop(heap)
-                    continue
-                if -neg_b <= m_k:
-                    break
-                block.append(heapq.heappop(heap))
-            if not block:
-                break
-            rows = np.fromiter(
-                (entry[2] for entry in block),
-                dtype=np.intp,
-                count=len(block),
-            )
-            sub = matrix[rows]
-            fresh = self.t.aggregate_batch(
-                np.where(np.isnan(sub), bottoms_row, sub)
-            )
-            self.b_evaluations += len(block)
-            for j, (_neg_b, _, row, version) in enumerate(block):
-                fresh_b = float(fresh[j])
-                if fresh_b <= m_k:
-                    never.add(row)
-                    continue
-                self._seq += 1
-                pushback.append((-fresh_b, self._seq, row, version))
-                if found is None and row not in topk_set:
-                    found = (row, fresh_b)
-                    self._viable_scan_hint = examined + j + 1
-            examined += len(block)
-            block_size = min(block_size * 4, 4096)
-        if found is None:
-            self._viable_scan_hint = max(examined, 1)
-        for entry in pushback:
-            heapq.heappush(heap, entry)
+        block, _ = self._highest(np.arange(size))
+        block.sort()
+        found = self._viable_in(block, topk_set, m_k)
+        if found is None and block.size < size:
+            rest = np.ones(size, dtype=bool)
+            rest[block] = False
+            found = self._viable_in(np.nonzero(rest)[0], topk_set, m_k)
         return found
+
+    def best_random_access_target(self, m_k: float):
+        """CA's phase target read from the pool: the same candidate set
+        (seen, missing fields, fresh ``B > m_k``) and the same canonical
+        choice (largest fresh ``B``, earliest discovery among ties) as
+        :meth:`CandidateStore.best_random_access_target`.  Blocks of the
+        highest cached bounds are evaluated until no unevaluated bound
+        can reach the best fresh one found -- the lazy-heap scan,
+        vectorised."""
+        self._prune(m_k)
+        size = self.pool_b.size
+        evaluated = np.zeros(size, dtype=bool)
+        has_missing = np.zeros(size, dtype=bool)
+        best_b = m_k
+        idxs = np.arange(size)
+        while idxs.size:
+            idxs, pivot = self._highest(idxs)
+            fresh, missing = self._evaluate(idxs)
+            evaluated[idxs] = True
+            has_missing[idxs] = missing
+            best_b = max(best_b, fresh[missing].max(initial=-np.inf))
+            if pivot < best_b:
+                break
+            idxs = np.nonzero(~evaluated & (self.pool_b >= best_b))[0]
+        if not best_b > m_k:
+            return None
+        # unevaluated rows' cached bounds are below best_b, and
+        # has_missing marks evaluated rows only
+        first = np.nonzero(has_missing & (self.pool_b == best_b))[0][0]
+        return int(self.pool_rows[first])
 
     def resolve_row_fields(
         self, row, list_indices: list[int], grades: list[float]
     ) -> None:
         """Record random-access resolutions of ``row``'s missing fields.
 
-        Bit-for-bit equivalent to the scalar loop's per-field
-        ``record(row, i, grade)`` calls: after each field the lower
-        bound ``W`` is recomputed (0-substitution in argument order),
-        the version bumped, one ``W``-heap and one freshly-evaluated
-        ``B``-heap entry pushed, and the incremental ``M_k`` tracker
-        notified -- so heap pop order in later phases and halting
-        checks matches the scalar run exactly.
+        Bit-for-bit equivalent to the ``W`` side of the scalar loop's
+        per-field ``record(row, i, grade)`` calls: after each field the
+        lower bound ``W`` is recomputed (0-substitution in argument
+        order) and noted (:meth:`note_w`), so ``W``-heap order in later
+        halting checks matches the scalar run exactly.  The row's pool
+        bound needs no update: it only falls.
         """
         matrix = self.field_matrix
         aggregate = self.t.aggregate
         for i, g in zip(list_indices, grades):
             matrix[row, i] = g
             vec = matrix[row].tolist()
-            w = aggregate(
-                tuple(0.0 if x != x else x for x in vec)  # NaN -> 0
+            self.note_w(
+                row, aggregate(tuple(0.0 if x != x else x for x in vec))
             )
-            self.w[row] = w
-            version = self._version.get(row, 0) + 1
-            self._version[row] = version
-            self._seq += 1
-            heapq.heappush(self._w_heap, (-w, self._seq, row, version))
-            self._seq += 1
-            heapq.heappush(
-                self._b_heap, (-self.b_value(row), self._seq, row, version)
-            )
-            self._mk_note(row, w)

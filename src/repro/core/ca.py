@@ -39,7 +39,9 @@ replay
     ingest the rounds in scalar order against an
     :class:`~repro.core.bounds.ArrayCandidateStore`.  At every global
     round divisible by ``h`` the phase runs *on the real store*: the
-    ``B``-greedy target is the one the scalar loop's lazy-heap scan
+    ``B``-greedy target, read from the store's candidate pool
+    (:meth:`~repro.core.bounds.ArrayCandidateStore.best_random_access_target`),
+    is the one the scalar loop's lazy-heap scan
     (:meth:`~repro.core.bounds.CandidateStore.best_random_access_target`)
     picks -- tie order included -- because the target choice, not just
     the halting round, decides which random accesses the paper's
@@ -62,18 +64,19 @@ charge
     Theorem 6.1) and a failing check raises with the scalar loop's
     partial accounting.
 
+The phase target scan and the halting check's viability scan read
+the same candidate pool, so CA keeps no candidate arrays of its own.
 Three decision-neutral gates keep the sequential part small, inherited
 from NRA (sound because ``M_k`` never decreases while every ``B`` is
-non-increasing): the ``t(bottoms) > M_k`` skip, the lazy-heap floor
-pruning, and the *viability witness* -- a seen object outside every
-possible ``T_k`` (``W < M_k``) still viable (``B > M_k``) whose standing
-proves the full top-k/viability scan would not halt, letting it be
-skipped until the witness falls (or is itself resolved by a phase).
+non-increasing): the ``t(bottoms) > M_k`` skip, the ``W`` floor (entries
+below the chunk-start ``M_k`` are not replayed), and the *viability
+witness* -- a seen object outside every possible ``T_k`` (``W < M_k``)
+still viable (``B > M_k``) whose standing proves the full
+top-k/viability scan would not halt, letting it be skipped until the
+witness falls (or is itself resolved by a phase).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -127,7 +130,7 @@ class CombinedAlgorithm(TopKAlgorithm):
     def _run(
         self, session: AccessSession, aggregation: AggregationFunction, k: int
     ) -> TopKResult:
-        # the chunked engine needs the heap bookkeeping, so the
+        # the chunked engine needs the W-heap bookkeeping, so the
         # Remark 8.7 naive oracle always runs the scalar loop
         if session.supports_batches and not self.naive_bookkeeping:
             return self._run_columnar(session, aggregation, k)
@@ -221,15 +224,17 @@ class CombinedAlgorithm(TopKAlgorithm):
 
         Differences from NRA's replay: at every global round divisible
         by ``h`` the random-access phase executes against the live
-        store state (fields synced, bottoms set), reading the target's
-        missing grades from the uncharged view and appending
-        ``(round, target, missing lists)`` to the chunk's phase
-        schedule, which the commit charges in one call, interleaved
-        with the sorted prefix exactly as the scalar loop's accounting
-        (wild-guess certification included); resolved objects join
-        ``resolved`` so their later sorted re-discoveries are skipped
-        (scalar ``record`` no-ops); and the witness is dropped if a
-        phase resolves it.
+        store state (synced to the round), picking its target from the
+        store's candidate pool
+        (:meth:`~repro.core.bounds.ArrayCandidateStore.best_random_access_target`),
+        reading the target's missing grades from the uncharged view and
+        appending ``(round, target, missing lists)`` to the chunk's
+        phase schedule, which the commit charges in one call,
+        interleaved with the sorted prefix exactly as the scalar loop's
+        accounting (wild-guess certification included); resolved
+        objects join ``resolved`` so their later sorted re-discoveries
+        are skipped (scalar ``record`` no-ops); and the witness is
+        dropped if a phase resolves it.
         """
         db = session.columnar_view()
         order_rows = db._order_rows
@@ -242,12 +247,7 @@ class CombinedAlgorithm(TopKAlgorithm):
         seen_rows = np.zeros(n, dtype=bool)
         resolved: set[int] = set()  # rows fully resolved by a phase
         w_map = store.w
-        versions = store._version
-        w_heap = store._w_heap
-        b_heap = store._b_heap
-        mk_members = store._mk_members
-        mk_note = store._mk_note
-        heappush = heapq.heappush
+        note_w = store.note_w
         interval = self.halt_check_interval
         check_every_round = interval == 1
         bottoms = store.bottoms
@@ -260,17 +260,6 @@ class CombinedAlgorithm(TopKAlgorithm):
         topk: list = []
         witness = None
         chunk_rounds = 32
-        # candidate rows for the B-greedy phase, kept in discovery order
-        # (array position = order of first sorted appearance) so that
-        # "first position among maxima" IS the canonical tie-break of
-        # best_random_access_target.  cand_b carries each row's last
-        # evaluated B (initially the ingestion-time cached B): since B
-        # never increases, it upper-bounds the fresh value -- the
-        # vectorised analogue of the lazy B-heap's cached keys.  Rows
-        # whose bound falls to M_k or below are pruned permanently (the
-        # _never_viable discard, vectorised).
-        cand = np.empty(0, dtype=np.intp)
-        cand_b = np.empty(0, dtype=np.float64)
 
         while halt_reason is None:
             if session.budget_exceeded:
@@ -307,155 +296,42 @@ class CombinedAlgorithm(TopKAlgorithm):
                 m,
                 bottoms,
             )
-            rep = ChunkReplay(
-                chunk,
-                aggregation,
-                store,
-                seen_rows,
-                bottoms,
-                m,
-                track_new_entries=True,
-            )
+            rep = ChunkReplay(chunk, aggregation, store, seen_rows, bottoms, m)
             c_eff = rep.c_eff
-            round_ends = rep.round_ends
-            w_list = rep.w_list
-            b_arr = rep.b_arr
-            b_list = rep.b_list
             tau_list = rep.tau_list
-            bott = rep.bott
-            bott_rows = rep.bott_rows
-            new_entries = rep.new_entries
             seen_cum = rep.seen_cum
             seen_base = rep.seen_base
-            rows_list = rep.rows_list
-            rounds_list = rep.rounds_list
-            # newly seen rows in discovery order; absorbed into the
-            # phase candidate array as the replay reaches their rounds
-            new_rows_chunk = chunk.rows[new_entries]
-            absorbed = 0
             # (round, target row, missing lists) of this chunk's phases,
             # charged at commit
             phases: list[tuple[int, int, list[int]]] = []
-            # ---- lazy-store floors (sound: M_k never decreases) ----
-            if len(mk_members) < k:
-                w_keep = b_keep = None
-                kept = list(range(chunk.total))
-            else:
-                floor = store._mk_clean()
-                w_keep_arr = rep.w_arr >= floor
-                b_keep_arr = b_arr > floor
-                w_keep = w_keep_arr.tolist()
-                b_keep = b_keep_arr.tolist()
-                kept = np.nonzero(w_keep_arr | b_keep_arr)[0].tolist()
+            # ---- the W floor (sound: M_k never decreases) ----
+            mk = store.current_mk()
+            starts, rows, ws = rep.select(rep.w_arr >= mk)
             witness = rep.carry(witness)
             # ---- sequential replay: kept entries, phases, checks ----
-            seq = store._seq
-            ki = 0
-            klen = len(kept)
             r_halt = None
             for r in range(c_eff):
-                while ki < klen:
-                    e = kept[ki]
-                    if rounds_list[e] != r:
-                        break
-                    row = rows_list[e]
-                    if row in resolved:
-                        # sorted re-discovery of a random-access-resolved
-                        # field: scalar record() is a no-op
-                        ki += 1
-                        continue
-                    version = versions.get(row, 0) + 1
-                    versions[row] = version
-                    if w_keep is None or w_keep[e]:
-                        w = w_list[e]
-                        w_map[row] = w
-                        seq += 1
-                        heappush(w_heap, (-w, seq, row, version))
-                        store._seq = seq
-                        mk_note(row, w)
-                        seq = store._seq
-                    if b_keep is None or b_keep[e]:
-                        seq += 1
-                        heappush(b_heap, (-b_list[e], seq, row, version))
-                    ki += 1
+                if starts[r] < starts[r + 1]:
+                    for j in range(starts[r], starts[r + 1]):
+                        # a sorted re-discovery of a random-access-
+                        # resolved field: scalar record() is a no-op
+                        if rows[j] not in resolved:
+                            note_w(rows[j], ws[j])
+                    mk = store.current_mk()  # only W notes move M_k
                 gr = rounds + r + 1
                 if gr % h == 0:
                     # random-access phase on the live store (every round
                     # inside a chunk progresses, so the phase always
-                    # fires).  Target selection is the vectorised form
-                    # of best_random_access_target: same candidate set
-                    # (seen, missing fields, fresh B > M_k), same
-                    # canonical max-fresh-B / discovery-order choice.
-                    # Blocks of the highest-bounded rows are re-evaluated
-                    # until no unevaluated bound can beat the best found
-                    # -- the lazy-heap scan, vectorised.
-                    rep.sync_fields(round_ends[r] + 1)
-                    bottoms[:] = bott_rows[r]
-                    store.seen_count_value = seen_base + seen_cum[r]
-                    m_k = store.current_mk()
-                    upto_new = seen_cum[r]
-                    if upto_new > absorbed:
-                        cand = np.concatenate(
-                            [cand, new_rows_chunk[absorbed:upto_new]]
-                        )
-                        cand_b = np.concatenate(
-                            [cand_b, b_arr[new_entries[absorbed:upto_new]]]
-                        )
-                        absorbed = upto_new
-                    # a bound at or below M_k never clears it again
-                    keep = cand_b > m_k
-                    if not keep.all():
-                        cand = cand[keep]
-                        cand_b = cand_b[keep]
-                    target = None
-                    if cand.size:
-                        evaluated = np.zeros(cand.size, dtype=bool)
-                        has_missing = np.zeros(cand.size, dtype=bool)
-                        best_b = m_k
-                        bott_col = bott[r][:, None]
-                        # every candidate clears M_k: the first pool
-                        idxs = np.arange(cand.size)
-                        while idxs.size:
-                            # the block is the pool's 256 highest cached
-                            # bounds; every other bound is <= the pivot
-                            pivot = -np.inf
-                            if idxs.size > 256:
-                                cut = idxs.size - 256
-                                part = np.argpartition(cand_b[idxs], cut)
-                                pivot = cand_b[idxs[part[cut]]]
-                                idxs = idxs[part[cut:]]
-                            # column-major block: one contiguous row per
-                            # list, so the bottoms fill and the missing
-                            # test run along the lists' columns
-                            sub = field_matrix.take(cand[idxs], axis=0).T.copy()
-                            unknown_c = np.isnan(sub)
-                            np.copyto(sub, bott_col, where=unknown_c)
-                            fresh = aggregation.aggregate_batch(sub.T)
-                            store.b_evaluations += idxs.size
-                            cand_b[idxs] = fresh
-                            evaluated[idxs] = True
-                            miss = np.logical_or.reduce(unknown_c, axis=0)
-                            has_missing[idxs] = miss
-                            mx = fresh[miss].max(initial=-np.inf)
-                            if mx > best_b:
-                                best_b = mx
-                            if pivot < best_b:
-                                break
-                            idxs = np.nonzero(
-                                ~evaluated & (cand_b >= best_b)
-                            )[0]
-                        if best_b > m_k:
-                            # has_missing marks evaluated rows only
-                            sel = has_missing & (cand_b == best_b)
-                            first = int(np.nonzero(sel)[0][0])
-                            target = int(cand[first])
-                            missing = np.nonzero(
-                                np.isnan(field_matrix[target])
-                            )[0].tolist()
+                    # fires)
+                    rep.sync_to(r)
+                    target = store.best_random_access_target(mk)
                     if target is None:
                         escape_clauses += 1
                     else:
                         random_phases += 1
+                        missing = np.nonzero(
+                            np.isnan(field_matrix[target])
+                        )[0].tolist()
                         # speculated like the sorted entries: the grades
                         # come from the uncharged view, and the commit
                         # charges the phase after the sorted prefix of
@@ -465,61 +341,35 @@ class CombinedAlgorithm(TopKAlgorithm):
                         )[0].tolist()
                         fetched = [grades_t[j] for j in missing]
                         phases.append((r + 1, target, missing))
-                        store._seq = seq
                         store.resolve_row_fields(target, missing, fetched)
-                        seq = store._seq
+                        mk = store.current_mk()
                         resolved.add(target)
                         if witness is not None and witness.row == target:
                             # the witness is now fully known: it may
                             # enter the top-k, so it proves nothing
                             witness = None
-                if check_every_round or gr % interval == 0:
-                    seen_r = seen_base + seen_cum[r]
-                    if seen_r >= k:
-                        if len(mk_members) < k:
-                            m_k = float("-inf")
-                        else:
-                            m_k = store._mk_clean()
-                        skip = seen_r < n and tau_list[r] > m_k
-                        if not skip and witness is not None:
-                            # outside every possible T_k needs W < M_k;
-                            # viability needs fresh B > M_k
-                            w_wit = w_map.get(witness.row)
-                            if w_wit is not None and w_wit < m_k:
-                                if rep.witness_bound(witness, r) > m_k:
-                                    skip = True
-                        if not skip:
-                            rep.sync_fields(round_ends[r] + 1)
-                            bottoms[:] = bott_rows[r]
-                            store.seen_count_value = seen_r
-                            store._seq = seq
-                            topk, m_k = store.current_topk()
-                            if not (seen_r < n and store.threshold > m_k):
-                                found = store.find_viable_outside(topk, m_k)
-                                if found is None:
-                                    halt_reason = HaltReason.NO_VIABLE
-                                    r_halt = r
-                                else:
-                                    witness = ChunkWitness(
-                                        found[0], chunk, after_round=r
-                                    )
-                            else:
-                                witness = None
-                            seq = store._seq
-                            if r_halt is not None:
-                                break
-            store._seq = seq
+                if not (check_every_round or gr % interval == 0):
+                    continue
+                seen_r = seen_base + seen_cum[r]
+                if seen_r < k or (seen_r < n and tau_list[r] > mk):
+                    continue
+                if (
+                    witness is not None
+                    and w_map.get(witness.row, -np.inf) < mk
+                    and rep.witness_bound(witness, r) > mk
+                ):
+                    # outside every possible T_k (a row with no
+                    # recorded W had it below every floor) and viable
+                    continue
+                rep.sync_to(r)
+                topk, _ = store.current_topk()
+                found = store.find_viable_outside(topk, mk)
+                if found is None:
+                    halt_reason = HaltReason.NO_VIABLE
+                    r_halt = r
+                    break
+                witness = ChunkWitness(found[0], chunk, after_round=r)
             consumed = r_halt + 1 if r_halt is not None else c_eff
-            upto_new = seen_cum[consumed - 1]
-            if upto_new > absorbed:
-                # consumed rows not yet absorbed become candidates for
-                # the next chunk's phases
-                cand = np.concatenate(
-                    [cand, new_rows_chunk[absorbed:upto_new]]
-                )
-                cand_b = np.concatenate(
-                    [cand_b, b_arr[new_entries[absorbed:upto_new]]]
-                )
             rep.commit(session, positions, consumed, phases)
             rounds += consumed
             if probe is not None and consumed:

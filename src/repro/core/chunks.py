@@ -27,8 +27,9 @@ bound-based engines (NRA, CA, Stream-Combine) share: the mid-round
 bottom vectors each entry's cached ``B`` must see
 (:func:`entry_bottoms`), the cumulative known-field rows feeding the
 vectorised ``W``/``B`` computations (:func:`known_rows`), the index of
-each round's last entry (:func:`round_last_entries`), and the running
-distinct-object count per round (:func:`new_seen_cum`).  Each mirrors,
+each round's last entry (:func:`round_last_entries`), and the entries
+at which objects new to the run first appear (:func:`first_new_entries`:
+the running seen counts and the candidate pool's joins).  Each mirrors,
 vectorised, exactly what the scalar reference loops observe entry by
 entry -- the bit-for-bit differential tests depend on that.
 """
@@ -47,7 +48,6 @@ __all__ = [
     "known_rows",
     "round_last_entries",
     "first_new_entries",
-    "new_seen_cum",
     "witness_trajectory",
     "ChunkWitness",
     "ChunkReplay",
@@ -204,22 +204,24 @@ def known_rows(chunk: SortedChunk, field_matrix: np.ndarray) -> np.ndarray:
     chunk.  ``field_matrix`` is read, never written.
     """
     rows_all = chunk.rows
-    lists_all = chunk.lists
-    grades_all = chunk.grades
     entry_range = np.arange(chunk.total, dtype=np.intp)
     k_matrix = field_matrix[rows_all]
-    k_matrix[entry_range, lists_all] = grades_all
+    k_matrix[entry_range, chunk.lists] = chunk.grades
     group = np.lexsort((entry_range, rows_all))
-    prev_e = group[:-1]
-    next_e = group[1:]
-    same = rows_all[prev_e] == rows_all[next_e]
-    dup_pairs = np.stack([prev_e[same], next_e[same]], axis=1).tolist()
-    lists_list = lists_all.tolist()
-    grades_list = grades_all.tolist()
-    for prev_p, cur_p in dup_pairs:
-        own = grades_list[cur_p]
-        k_matrix[cur_p] = k_matrix[prev_p]
-        k_matrix[cur_p, lists_list[cur_p]] = own
+    grouped_rows = rows_all[group]
+    starts = np.ones(chunk.total, dtype=bool)
+    starts[1:] = grouped_rows[1:] != grouped_rows[:-1]
+    if starts.all():
+        return k_matrix
+    # forward-fill every column along each object's entries, in
+    # consumption order: an entry's known fields are the chunk-start
+    # ones plus those of its object's earlier entries in the chunk
+    grouped = k_matrix[group]
+    source = np.where(
+        ~np.isnan(grouped) | starts[:, None], entry_range[:, None], 0
+    )
+    np.maximum.accumulate(source, axis=0, out=source)
+    k_matrix[group] = np.take_along_axis(grouped, source, axis=0)
     return k_matrix
 
 
@@ -232,22 +234,6 @@ def first_new_entries(
     first_in_chunk = np.zeros(chunk.total, dtype=bool)
     first_in_chunk[np.unique(chunk.rows, return_index=True)[1]] = True
     return np.nonzero(first_in_chunk & ~seen_rows[chunk.rows])[0]
-
-
-def new_seen_cum(
-    chunk: SortedChunk,
-    seen_rows: np.ndarray,
-    ends: np.ndarray,
-    new_entries: np.ndarray | None = None,
-) -> list[int]:
-    """Per round ``r``: how many objects *new to this run* appear in the
-    chunk at rounds ``<= r``.  Adding the chunk-start seen count gives
-    the scalar loop's ``seen_count`` after round ``r``.  Callers that
-    need the first-appearance entries themselves (CA's candidate
-    absorption) pass the precomputed ``first_new_entries`` array."""
-    if new_entries is None:
-        new_entries = first_new_entries(chunk, seen_rows)
-    return np.searchsorted(new_entries, ends, side="right").tolist()
 
 
 def witness_trajectory(
@@ -317,13 +303,15 @@ class ChunkReplay:
     """One chunk's derived state and commit bookkeeping, shared by the
     bound-based chunked engines (NRA, CA, Stream-Combine).
 
-    Owns, once, the per-chunk scaffolding the three replays used to
-    duplicate: the vectorised derivations (per-entry ``W`` and cached
-    ``B``, per-round thresholds and bottoms, the cumulative new-seen
-    counts), the lazy field-matrix sync, the witness-bound trajectory
-    plumbing, and the end-of-chunk commit with its one charging call.
-    The engine-specific parts -- lazy-heap floors, CA's random-access
-    phases, the halting-check bodies -- stay in the engines.
+    Owns, once, the per-chunk scaffolding the three replays share: the
+    vectorised derivations (per-entry ``W`` and cached ``B``, per-round
+    thresholds and bottoms, the cumulative new-seen counts), the lazy
+    sync of the store to a round (field matrix, bottoms, seen count and
+    the candidate pool), the witness-bound trajectory plumbing, and the
+    end-of-chunk commit with its one charging call.  The
+    engine-specific parts -- which entries feed the ``W`` side, CA's
+    random-access phases, the halting-check bodies -- stay in the
+    engines.
 
     The engines all run lockstep over every list (``sorted_lists =
     range(m)``, one entry per list per round), which is what
@@ -342,14 +330,9 @@ class ChunkReplay:
         "round_ends",
         "unknown",
         "w_arr",
-        "w_list",
         "b_arr",
-        "b_list",
         "bott",
-        "bott_rows",
         "tau_list",
-        "rows_list",
-        "rounds_list",
         "new_entries",
         "seen_cum",
         "seen_base",
@@ -357,6 +340,7 @@ class ChunkReplay:
         "_seen_rows",
         "_bottoms",
         "_synced",
+        "_joined",
     )
 
     def __init__(
@@ -367,7 +351,6 @@ class ChunkReplay:
         seen_rows: np.ndarray,
         bottoms,
         m: int,
-        track_new_entries: bool = False,
     ):
         self.chunk = chunk
         self.aggregation = aggregation
@@ -382,27 +365,41 @@ class ChunkReplay:
         self.w_arr = aggregation.aggregate_batch(
             np.where(self.unknown, 0.0, k_matrix)
         )
-        self.w_list = self.w_arr.tolist()
         self.bott = chunk.bottoms_matrix
         self.tau_list = aggregation.aggregate_batch(self.bott).tolist()
-        self.bott_rows = self.bott.tolist()
         self.b_arr = aggregation.aggregate_batch(
             np.where(self.unknown, entry_bottoms(chunk, bottoms, m), k_matrix)
         )
-        self.b_list = self.b_arr.tolist()
-        self.rows_list = chunk.rows.tolist()
-        self.rounds_list = chunk.rounds.tolist()
-        self.new_entries = (
-            first_new_entries(chunk, seen_rows) if track_new_entries else None
-        )
-        self.seen_cum = new_seen_cum(
-            chunk, seen_rows, self.round_ends, self.new_entries
-        )
+        self.new_entries = first_new_entries(chunk, seen_rows)
+        # per round r: objects new to the run seen at rounds <= r (plus
+        # seen_base, the scalar loop's seen_count after round r)
+        self.seen_cum = np.searchsorted(
+            self.new_entries, self.round_ends, side="right"
+        ).tolist()
         self.seen_base = int(store.seen_count_value)
         self._store = store
         self._seen_rows = seen_rows
         self._bottoms = bottoms
         self._synced = 0
+        self._joined = 0
+
+    def select(
+        self, mask: np.ndarray
+    ) -> tuple[list[int], list[int], list[float]]:
+        """The entries ``mask`` picks for the sequential replay, as
+        ``(starts, rows, ws)``: their rows and ``W`` values in
+        consumption order, round ``r``'s being those at positions
+        ``starts[r]`` up to ``starts[r + 1]``."""
+        entries = np.nonzero(mask)[0]
+        starts = np.searchsorted(
+            self.chunk.rounds[entries],
+            np.arange(self.c_eff + 1, dtype=np.intp),
+        )
+        return (
+            starts.tolist(),
+            self.rows_all[entries].tolist(),
+            self.w_arr[entries].tolist(),
+        )
 
     def sync_fields(self, upto: int) -> None:
         """Scatter entries ``< upto`` into the store's field matrix
@@ -414,6 +411,20 @@ class ChunkReplay:
                 self.rows_all[s:upto], self.lists_all[s:upto]
             ] = self.grades_all[s:upto]
             self._synced = upto
+
+    def sync_to(self, r: int) -> None:
+        """Bring the store to its state after round ``r``: fields,
+        bottoms, seen count and candidate pool, whose new rows join with
+        their first entry's cached ``B`` (before a halting check or a CA
+        phase reads the store; idempotent per prefix)."""
+        self.sync_fields(self.round_ends[r] + 1)
+        self._bottoms[:] = self.bott[r].tolist()
+        upto_new = self.seen_cum[r]
+        self._store.seen_count_value = self.seen_base + upto_new
+        if upto_new > self._joined:
+            entries = self.new_entries[self._joined : upto_new]
+            self._store.join(self.rows_all[entries], self.b_arr[entries])
+            self._joined = upto_new
 
     def carry(self, witness: ChunkWitness | None) -> ChunkWitness | None:
         """Re-anchor a witness carried over from an earlier chunk to
@@ -440,19 +451,16 @@ class ChunkReplay:
         ``consumed`` rounds: the chunk's charges -- the consumed sorted
         prefix with CA's speculated random-access ``phases`` spliced in
         (see :meth:`~repro.middleware.access.AccessSession.charge_schedule`)
-        -- and the caller's positions, then the field scatter, seen set
-        and count, the per-entry ``b_evaluations`` accounting and the
-        caller's bottoms.  Returns the number of entries consumed."""
+        -- and the caller's positions, then the store's state after the
+        last consumed round (:meth:`sync_to`), the seen set and the
+        per-entry ``b_evaluations`` accounting.  Returns the number of
+        entries consumed."""
         counts = self.chunk.counts
         session.charge_schedule(counts, phases, consumed)
         for i, c in enumerate(counts):
             positions[i] += min(consumed, c)
         upto = self.chunk.consumed_upto(consumed)
-        self.sync_fields(upto)
+        self.sync_to(consumed - 1)
         self._seen_rows[self.rows_all[:upto]] = True
-        self._store.seen_count_value = (
-            self.seen_base + self.seen_cum[consumed - 1]
-        )
         self._store.b_evaluations += upto
-        self._bottoms[:] = self.bott_rows[consumed - 1]
         return upto

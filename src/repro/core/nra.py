@@ -31,21 +31,22 @@ read ahead through the uncharged ``columnar_view``: every entry's
 ``aggregate_batch`` each, the rounds are then replayed in scalar
 order against an :class:`~repro.core.bounds.ArrayCandidateStore`
 (fields committed with one vectorised scatter), and only the consumed
-prefix is charged through ``sorted_access_batch``.  Three
+prefix is charged through one ``charge_schedule`` call.  Upper
+bounds never enter a heap: each row joins the store's vectorised
+candidate pool once, with its first entry's cached ``B``, and the
+viability scan prunes and refreshes the pool in blocks.  Three
 decision-neutral gates keep the sequential part tiny: while
 ``t(bottoms) > theta * M_k`` (with unseen objects remaining) no
-halting check can succeed, so none runs; entries whose ``W``/cached
-``B`` sit below the non-decreasing ``M_k`` floor skip the lazy heaps
-entirely; and each failed halting check yields a *viability witness*
--- a seen object outside every possible ``T_k`` (``W < M_k``) that is
-still viable (``B > theta * M_k``) -- whose standing proves
+halting check can succeed, so none runs; entries whose ``W`` sits
+below the non-decreasing ``M_k`` floor are not replayed at all; and
+each failed halting check yields a *viability witness* -- a seen
+object outside every possible ``T_k`` (``W < M_k``) that is still
+viable (``B > theta * M_k``) -- whose standing proves
 ``find_viable_outside`` would return non-``None``, letting the full
 top-k/viability scan be skipped until the witness falls.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -108,8 +109,9 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
     def _run(
         self, session: AccessSession, aggregation: AggregationFunction, k: int
     ) -> TopKResult:
-        # the chunked engine needs the heap bookkeeping (for current_mk),
-        # so the Remark 8.7 naive oracle always runs the scalar loop
+        # the chunked engine needs the W-heap bookkeeping (for
+        # current_mk), so the Remark 8.7 naive oracle always runs the
+        # scalar loop
         if session.supports_batches and not self.naive_bookkeeping:
             return self._run_columnar(session, aggregation, k)
         m = session.num_lists
@@ -165,23 +167,27 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         from one ``aggregate_batch`` each; the field matrix is committed
         with a single vectorised scatter (synced early only at the rare
         full halting checks); and the sequential part of the scan visits
-        only the entries that actually touch the lazy heaps.
+        only the entries that can move ``T_k``.
 
-        Decision-neutral lazy-store refinements (sound because ``M_k``
-        never decreases and ``W`` per object never decreases):
+        Decision-neutral refinements (sound because ``M_k`` never
+        decreases and ``W`` per object never decreases):
 
         * an entry whose ``W`` is below the chunk-start ``M_k`` floor can
-          never enter the top-``k``, so its ``W``-heap push (and, if its
-          ``B`` is also pruned, its version bump) is skipped;
-        * an entry whose cached ``B`` is at or below the floor can never
-          be viable again, so its ``B``-heap push is skipped -- the same
-          permanent discard ``find_viable_outside`` would apply later;
+          never enter the top-``k``, so the replay skips it (no version
+          bump, ``W``-heap push or ``M_k`` note);
+        * upper bounds never reach a heap: each row joins the store's
+          candidate pool once, at its first sorted appearance, and the
+          viability scan prunes and refreshes the pool in vectorised
+          blocks;
         * each failed halting check yields a *viability witness*: an
           object outside every possible ``T_k`` (``W < M_k``) that is
           still viable (``B > theta * M_k``).  While it stands --
           checked against a per-chunk vectorised ``B`` trajectory --
           ``find_viable_outside`` would certainly return non-``None``,
-          so the full top-k/viability scan is skipped.
+          so the full top-k/viability scan is skipped.  A witness with
+          no recorded ``W`` counts as ``W < M_k``: every entry of its
+          row had ``W`` below its chunk's floor, which is at most
+          ``M_k``.
         """
         db = session.columnar_view()
         order_rows = db._order_rows
@@ -192,12 +198,7 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         store = ArrayCandidateStore(aggregation, m, k, n)
         seen_rows = np.zeros(n, dtype=bool)
         w_map = store.w
-        versions = store._version
-        w_heap = store._w_heap
-        b_heap = store._b_heap
-        mk_members = store._mk_members
-        mk_note = store._mk_note
-        heappush = heapq.heappush
+        note_w = store.note_w
         interval = self.halt_check_interval
         check_every_round = interval == 1
         theta = self.theta
@@ -246,92 +247,43 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
             )
             rep = ChunkReplay(chunk, aggregation, store, seen_rows, bottoms, m)
             c_eff = rep.c_eff
-            round_ends = rep.round_ends
-            w_list = rep.w_list
-            b_list = rep.b_list
             tau_list = rep.tau_list
-            bott_rows = rep.bott_rows
             seen_cum = rep.seen_cum
             seen_base = rep.seen_base
-            rows_list = rep.rows_list
-            rounds_list = rep.rounds_list
-            # ---- lazy-store floors (sound: M_k never decreases) ----
-            if len(mk_members) < k:
-                w_keep = b_keep = None
-                kept = list(range(chunk.total))
-            else:
-                floor = store._mk_clean()
-                w_keep_arr = rep.w_arr >= floor
-                b_keep_arr = rep.b_arr > floor
-                w_keep = w_keep_arr.tolist()
-                b_keep = b_keep_arr.tolist()
-                kept = np.nonzero(w_keep_arr | b_keep_arr)[0].tolist()
+            # ---- the W floor (sound: M_k never decreases) ----
+            mk = store.current_mk()
+            starts, rows, ws = rep.select(rep.w_arr >= mk)
             witness = rep.carry(witness)
             # ---- sequential replay: kept entries + per-round checks ----
-            seq = store._seq
-            ki = 0
-            klen = len(kept)
             r_halt = None
             for r in range(c_eff):
-                while ki < klen:
-                    e = kept[ki]
-                    if rounds_list[e] != r:
-                        break
-                    row = rows_list[e]
-                    version = versions.get(row, 0) + 1
-                    versions[row] = version
-                    if w_keep is None or w_keep[e]:
-                        w = w_list[e]
-                        w_map[row] = w
-                        seq += 1
-                        heappush(w_heap, (-w, seq, row, version))
-                        store._seq = seq
-                        mk_note(row, w)
-                        seq = store._seq
-                    if b_keep is None or b_keep[e]:
-                        seq += 1
-                        heappush(b_heap, (-b_list[e], seq, row, version))
-                    ki += 1
-                if check_every_round or (rounds + r + 1) % interval == 0:
-                    seen_r = seen_base + seen_cum[r]
-                    if seen_r >= k:
-                        if len(mk_members) < k:
-                            m_k = float("-inf")
-                        else:
-                            m_k = store._mk_clean()
-                        cutoff = m_k if theta == 1.0 else theta * m_k
-                        skip = seen_r < n and tau_list[r] > cutoff
-                        if not skip and witness is not None:
-                            # outside every possible T_k needs W < M_k;
-                            # viability needs fresh B > theta * M_k
-                            w_wit = w_map.get(witness.row)
-                            if w_wit is not None and w_wit < m_k:
-                                if rep.witness_bound(witness, r) > cutoff:
-                                    skip = True
-                        if not skip:
-                            rep.sync_fields(round_ends[r] + 1)
-                            bottoms[:] = bott_rows[r]
-                            store.seen_count_value = seen_r
-                            store._seq = seq
-                            topk, m_k = store.current_topk()
-                            cutoff = m_k if theta == 1.0 else theta * m_k
-                            if not (seen_r < n and store.threshold > cutoff):
-                                found = store.find_viable_outside(
-                                    topk, cutoff
-                                )
-                                if found is None:
-                                    halt_reason = HaltReason.NO_VIABLE
-                                    r_halt = r
-                                else:
-                                    witness = ChunkWitness(
-                                        found[0], chunk, after_round=r
-                                    )
-                            else:
-                                witness = None
-                            seq = store._seq
-                            if r_halt is not None:
-                                break
-            store._seq = seq
+                if starts[r] < starts[r + 1]:
+                    for j in range(starts[r], starts[r + 1]):
+                        note_w(rows[j], ws[j])
+                    mk = store.current_mk()  # only W notes move M_k
+                if not (check_every_round or (rounds + r + 1) % interval == 0):
+                    continue
+                seen_r = seen_base + seen_cum[r]
+                if seen_r < k:
+                    continue
+                cutoff = mk if theta == 1.0 else theta * mk
+                if seen_r < n and tau_list[r] > cutoff:
+                    continue
+                if (
+                    witness is not None
+                    and w_map.get(witness.row, -np.inf) < mk
+                    and rep.witness_bound(witness, r) > cutoff
+                ):
+                    # outside every possible T_k and still viable
+                    continue
+                rep.sync_to(r)
+                topk, _ = store.current_topk()
+                found = store.find_viable_outside(topk, cutoff)
+                if found is None:
+                    halt_reason = HaltReason.NO_VIABLE
+                    r_halt = r
+                    break
+                witness = ChunkWitness(found[0], chunk, after_round=r)
             consumed = r_halt + 1 if r_halt is not None else c_eff
             rep.commit(session, positions, consumed)
             rounds += consumed

@@ -36,30 +36,28 @@ speculate
     ``W`` bounds, matching difference (1) above).
 replay
     ingest the rounds in scalar order against an
-    :class:`~repro.core.bounds.ArrayCandidateStore`: only the ``B``-heap
-    is fed (upper-bounds-only bookkeeping needs no ``W``-heap and no
-    ``M_k`` tracker), and entries that complete an object offer its
-    exact grade to the fully-seen top-``k`` buffer, preserving the
+    :class:`~repro.core.bounds.ArrayCandidateStore`: each row joins the
+    store's candidate pool at its first appearance (upper-bounds-only
+    bookkeeping needs no ``W``-heap and no ``M_k`` tracker), and only
+    the entries that complete an object are replayed one by one,
+    offering its exact grade to the fully-seen top-``k`` buffer in the
     scalar offer order (tie placement included).
 charge prefix
     the replay locates the exact halting round and only the consumed
-    prefix is charged through ``sorted_access_batch``.
+    prefix is charged through one ``charge_schedule`` call.
 
-Two decision-neutral gates keep the sequential part small, sound
+Two decision-neutral devices keep the sequential part small, sound
 because the fully-seen floor ``M_k`` (the buffer's k-th exact grade)
-never decreases while every ``B`` is non-increasing: entries whose
-cached ``B`` sits at or below the chunk-start floor skip the lazy heap
-(the same permanent discard ``find_viable_outside`` would apply), and
-each failed halting check yields a *viability witness* -- a not yet
-fully seen object (hence outside the buffer) with ``B > M_k`` -- whose
+never decreases while every ``B`` is non-increasing: the viability scan
+drops pool rows whose bound is at or below ``M_k`` for good, and each
+failed halting check yields a *viability witness* -- a not yet fully
+seen object (hence outside the buffer) with ``B > M_k`` -- whose
 standing, checked against a per-chunk vectorised ``B`` trajectory,
 proves the full viability scan would not halt, letting it be skipped
 until the witness falls or is fully seen.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -177,10 +175,9 @@ class StreamCombine(TopKAlgorithm):
         Candidates are row indices into an
         :class:`~repro.core.bounds.ArrayCandidateStore`; the buffer of
         fully seen objects is keyed by row and translated back to object
-        ids at the end.  Only the ``B``-heap is maintained (plus the
-        version map its staleness checks need): Stream-Combine's halting
-        machinery touches candidates exclusively through
-        ``find_viable_outside``.
+        ids at the end.  Only the candidate pool is maintained:
+        Stream-Combine's halting machinery touches candidates
+        exclusively through ``find_viable_outside``.
         """
         db = session.columnar_view()
         order_rows = db._order_rows
@@ -190,9 +187,6 @@ class StreamCombine(TopKAlgorithm):
         store = ArrayCandidateStore(aggregation, m, k, n)
         seen_rows = np.zeros(n, dtype=bool)
         w_map = store.w
-        versions = store._version
-        b_heap = store._b_heap
-        heappush = heapq.heappush
         full = TopKBuffer(k)
         offer = full.offer
         bottoms = store.bottoms
@@ -243,87 +237,42 @@ class StreamCombine(TopKAlgorithm):
             )
             rep = ChunkReplay(chunk, aggregation, store, seen_rows, bottoms, m)
             c_eff = rep.c_eff
-            round_ends = rep.round_ends
             # for complete entries the 0-substituted row has no unknowns:
-            # w_list[e] is the exact overall grade
-            complete = ~rep.unknown.any(axis=1)
-            w_list = rep.w_list
-            b_list = rep.b_list
+            # their W is the exact overall grade
+            starts, rows, ws = rep.select(~rep.unknown.any(axis=1))
             tau_list = rep.tau_list
-            bott_rows = rep.bott_rows
             seen_cum = rep.seen_cum
             seen_base = rep.seen_base
-            rows_list = rep.rows_list
-            rounds_list = rep.rounds_list
-            # ---- lazy-heap floor (sound: the fully-seen M_k never
-            # decreases, every B is non-increasing) ----
-            complete_list = complete.tolist()
-            if full.full:
-                floor = full.min_grade
-                b_keep_arr = rep.b_arr > floor
-                b_keep = b_keep_arr.tolist()
-                kept = np.nonzero(b_keep_arr | complete)[0].tolist()
-            else:
-                b_keep = None
-                kept = list(range(chunk.total))
             witness = rep.carry(witness)
-            # ---- sequential replay: kept entries + per-round checks ----
-            seq = store._seq
-            ki = 0
-            klen = len(kept)
+            # ---- sequential replay: completions + per-round checks ----
             r_halt = None
             for r in range(c_eff):
-                while ki < klen:
-                    e = kept[ki]
-                    if rounds_list[e] != r:
-                        break
-                    row = rows_list[e]
-                    version = versions.get(row, 0) + 1
-                    versions[row] = version
-                    if b_keep is None or b_keep[e]:
-                        seq += 1
-                        heappush(b_heap, (-b_list[e], seq, row, version))
-                    if complete_list[e]:
-                        w = w_list[e]
-                        w_map[row] = w
-                        offer(row, w)
-                        if witness is not None and witness.row == row:
-                            # a fully seen witness may enter the buffer;
-                            # it no longer proves the check fails
-                            witness = None
-                    ki += 1
-                if full.full:
-                    m_k = full.min_grade
-                    seen_r = seen_base + seen_cum[r]
-                    skip = seen_r < n and tau_list[r] > m_k
-                    if not skip and witness is not None:
-                        # not fully seen => outside the buffer; viability
-                        # needs fresh B > M_k
-                        if rep.witness_bound(witness, r) > m_k:
-                            skip = True
-                    if not skip:
-                        rep.sync_fields(round_ends[r] + 1)
-                        bottoms[:] = bott_rows[r]
-                        store.seen_count_value = seen_r
-                        store._seq = seq
-                        topk_objs = [obj for obj, _ in full.items_desc()]
-                        if not (seen_r < n and store.threshold > m_k):
-                            found = store.find_viable_outside(
-                                topk_objs, m_k
-                            )
-                            if found is None:
-                                halt_reason = HaltReason.NO_VIABLE
-                                r_halt = r
-                            else:
-                                witness = ChunkWitness(
-                                    found[0], chunk, after_round=r
-                                )
-                        else:
-                            witness = None
-                        seq = store._seq
-                        if r_halt is not None:
-                            break
-            store._seq = seq
+                for j in range(starts[r], starts[r + 1]):
+                    row = rows[j]
+                    w = ws[j]
+                    w_map[row] = w
+                    offer(row, w)
+                    if witness is not None and witness.row == row:
+                        # a fully seen witness may enter the buffer; it
+                        # no longer proves the check fails
+                        witness = None
+                if not full.full:
+                    continue
+                m_k = full.min_grade
+                seen_r = seen_base + seen_cum[r]
+                if seen_r < n and tau_list[r] > m_k:
+                    continue
+                if witness is not None and rep.witness_bound(witness, r) > m_k:
+                    # not fully seen => outside the buffer, and viable
+                    continue
+                rep.sync_to(r)
+                topk_objs = [obj for obj, _ in full.items_desc()]
+                found = store.find_viable_outside(topk_objs, m_k)
+                if found is None:
+                    halt_reason = HaltReason.NO_VIABLE
+                    r_halt = r
+                    break
+                witness = ChunkWitness(found[0], chunk, after_round=r)
             consumed = r_halt + 1 if r_halt is not None else c_eff
             rep.commit(session, positions, consumed)
             rounds += consumed
