@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,16 @@ class SortedChunk:
     c_eff: int
     #: ``(c_eff, m)`` bottoms after each round, exhaustion-carried
     bottoms_matrix: np.ndarray
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(group, starts)``: the entries ordered by ``(row, entry)``,
+        and whether ``group[j]`` is its object's first in the chunk."""
+        group = np.argsort(self.rows, kind="stable")
+        grouped_rows = self.rows[group]
+        starts = np.ones(self.total, dtype=bool)
+        starts[1:] = grouped_rows[1:] != grouped_rows[:-1]
+        return group, starts
 
     def consumed_upto(self, consumed_rounds: int) -> int:
         """Number of entries in rounds ``< consumed_rounds``."""
@@ -203,14 +214,10 @@ def known_rows(chunk: SortedChunk, field_matrix: np.ndarray) -> np.ndarray:
     in-chunk discoveries of objects that appear more than once in the
     chunk.  ``field_matrix`` is read, never written.
     """
-    rows_all = chunk.rows
     entry_range = np.arange(chunk.total, dtype=np.intp)
-    k_matrix = field_matrix[rows_all]
+    k_matrix = field_matrix[chunk.rows]
     k_matrix[entry_range, chunk.lists] = chunk.grades
-    group = np.lexsort((entry_range, rows_all))
-    grouped_rows = rows_all[group]
-    starts = np.ones(chunk.total, dtype=bool)
-    starts[1:] = grouped_rows[1:] != grouped_rows[:-1]
+    group, starts = chunk.groups
     if starts.all():
         return k_matrix
     # forward-fill every column along each object's entries, in
@@ -231,8 +238,9 @@ def first_new_entries(
     """Ascending entry indices at which an object *new to this run*
     makes its first appearance (``seen_rows`` marks rows seen in earlier
     chunks).  The order is the scalar loop's discovery order."""
+    group, starts = chunk.groups
     first_in_chunk = np.zeros(chunk.total, dtype=bool)
-    first_in_chunk[np.unique(chunk.rows, return_index=True)[1]] = True
+    first_in_chunk[group[starts]] = True
     return np.nonzero(first_in_chunk & ~seen_rows[chunk.rows])[0]
 
 

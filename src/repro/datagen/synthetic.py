@@ -216,17 +216,12 @@ def remote_uniform(
 ):
     """A uniform workload deployed as ``m`` simulated remote services.
 
-    The remote counterpart of :func:`uniform` (the
-    ``assemble_database``-style assembly helper of the async plane):
-    returns ``(services, database)`` where ``services`` are
+    The remote counterpart of :func:`uniform`: returns ``(services,
+    database)``, the ``m``
     :class:`~repro.services.simulated.SimulatedListService` instances
-    serving the database's lists under the given per-call latency
-    model, ready for an
-    :class:`~repro.services.session.AsyncAccessSession` or
-    :func:`~repro.services.assemble.assemble_remote_database`; the
-    ``database`` is the local ground truth the services were built
-    from (useful for verification -- it never touches the services'
-    accounting)."""
+    serving one columnar snapshot of ``database`` under the given
+    per-call latency model, and that local ground truth (useful for
+    verification -- it never touches the services' accounting)."""
     # local import: repro.services layers on top of datagen's siblings
     from ..services import LatencyModel, services_for_database
 

@@ -29,11 +29,11 @@ cooperatively on a single asyncio loop.  The moving parts:
   the prefix *it* consumed.
 * **Source ops**: a ``database=`` service also serves its lists over
   the wire (the ``page``/``random``/``run_page`` ops of
-  :class:`~repro.server.wire.QueryServer`), read at op time straight
-  from the database's current columnar snapshot -- nothing is copied,
-  and a write has nothing to rebuild.  The ``latency``/``failures``/
-  ``retry`` models run once per op, through one endpoint per list and
-  one per (list, shard run).
+  :class:`~repro.server.wire.QueryServer`) through the in-process
+  list and run sources, read at op time from the database's current
+  columnar snapshot -- nothing is copied, and a write has nothing to
+  rebuild.  The ``latency``/``failures``/``retry`` models run once per
+  op.
 * **Billing** (:class:`~repro.middleware.cost.BillingLedger`): every
   terminal query -- completed, failed, or cancelled -- posts a
   :class:`~repro.middleware.cost.QueryBill`; the paper's middleware
@@ -54,7 +54,7 @@ import time
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from ..aggregation import (
     AVERAGE,
@@ -93,14 +93,15 @@ from ..middleware.errors import (
 from ..middleware.mutable import MutableDatabase
 from ..obs import NULL_OBS, Observability
 from ..views import LiveView, ViewEvent
-from ..services.assemble import _per_list
+from ..services.assemble import _list_models
 from ..services.protocol import RemoteGradedSource
 from ..services.session import ServiceSession, _drain_loop_tasks
 from ..services.simulated import (
     FailureModel,
     LatencyModel,
     RetryPolicy,
-    _SimulatedEndpoint,
+    ShardRunService,
+    SimulatedListService,
 )
 from .scancache import ScanCache
 from .scheduler import Scheduler
@@ -426,11 +427,11 @@ class QueryService:
         Or a local database: queries run the columnar engines on it
         directly, and the source ops serve its lists, with the
         optional ``latency``/``failures``/``retry`` models (one model,
-        or one per list) applied to those ops only.  The models' state
-        lives as long as the service: one endpoint per list and one
-        per (list, shard run), never rebuilt by a write, so a
+        or one per list) applied to those ops only.  One source per
+        list and one per (list, shard run) serves them, made on its
+        first op and never rebuilt by a write, so a
         :class:`~repro.services.simulated.FailureModel` script's call
-        index counts that endpoint's calls since the service started.
+        index counts that source's calls since the service started.
     admission:
         :class:`~repro.middleware.cost.AdmissionPolicy`; defaults to 4
         active / 256 queued / no default budget.
@@ -488,7 +489,7 @@ class QueryService:
         #: triples ``run_page`` serves with the database version they
         #: were read at
         self._source_models = (latency, failures, retry)
-        self._endpoints: dict[tuple[int, int | None], _SimulatedEndpoint] = {}
+        self._endpoints: dict[tuple[int, int | None], Any] = {}
         self._runs: tuple[int, list[list[tuple]]] | None = None
         self._services: list[RemoteGradedSource] = []
         self._num_objects = 0
@@ -651,23 +652,27 @@ class QueryService:
 
     def _endpoint(
         self, list_index: int, run: int | None = None
-    ) -> _SimulatedEndpoint:
-        """The source-op endpoint of list ``list_index`` (or of its
-        shard run ``run``), made on its first op with the list's
-        models -- a service that serves no source op makes none."""
+    ) -> Any:  # SimulatedListService, or ShardRunService for a run
+        """The source serving list ``list_index`` (or its shard run
+        ``run``) over the live database, made on its first op with the
+        list's models -- a service that serves no source op makes
+        none."""
         endpoint = self._endpoints.get((list_index, run))
         if endpoint is None:
-            name = f"list-{list_index}"
-            if run is not None:
-                name += f"/shard-{run}"
-            m = self.num_lists
-            latency, failures, retry = self._source_models
-            endpoint = _SimulatedEndpoint(
-                name,
-                _per_list(latency, m, "latency")[list_index],
-                _per_list(failures, m, "failure")[list_index],
-                _per_list(retry, m, "retry")[list_index],
-            )
+            models = _list_models(self.num_lists, *self._source_models)
+            name, db = f"list-{list_index}", self._columnar
+            assert db is not None  # source ops run over database= only
+            if run is None:
+                endpoint = SimulatedListService._over(
+                    db, list_index, name, **models[list_index]
+                )
+            else:
+                endpoint = ShardRunService._over(
+                    f"{name}/shard-{run}",
+                    lambda: self._source_runs()[list_index][run],
+                    db._valve,
+                    **models[list_index],
+                )
             self._endpoints[list_index, run] = endpoint
         return endpoint
 

@@ -25,8 +25,8 @@ lists themselves -- over the length-prefixed frame protocol.  Ops:
     The source ops, for ``database=`` services
     (:func:`~repro.services.network.network_services`,
     :func:`~repro.services.network.network_shard_runs`), all stateless
-    reads answered straight from the database's current columnar
-    snapshot -- so one daemon serves both the lists and the queries:
+    reads answered by the in-process list and run sources over the
+    live database -- so one daemon serves both the lists and the queries:
 
     * ``{"src": i, "start": p, "count": c}`` -> entries ``[p, p + c)``
       of list ``i``'s sorted order, ``{"objects": [...], "grades":
@@ -75,8 +75,9 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
+
 from ..middleware.access import AccessStats
-from ..middleware.database import ColumnarDatabase
 from ..middleware.errors import (
     AdmissionError,
     QueryCancelledError,
@@ -207,14 +208,6 @@ def _index(value, size: int, what: str) -> int:
             f"{what} index {index} out of range (serving {size})"
         )
     return index
-
-
-def _check_valve(db: ColumnarDatabase) -> None:
-    """Run a store's residency valve before a source op reads its map
-    (the engines run it at every chunk boundary; in-RAM databases have
-    none)."""
-    if db._valve is not None:
-        db._valve.check()
 
 
 def _retrieve(future: asyncio.Future) -> None:
@@ -353,8 +346,7 @@ class QueryServer(FrameServer):
                 "protocol": PROTOCOL_VERSION,
                 "mutable": service.mutable is not None,
             }
-        columnar = service._columnar
-        if columnar is None:
+        if service._columnar is None:
             raise ServiceUnavailableError(
                 "this query service runs over caller-supplied services "
                 "and serves no lists"
@@ -363,47 +355,35 @@ class QueryServer(FrameServer):
             runs = service._source_runs()
             i = _index(message["list"], len(runs), "run list")
             s = _index(message["shard"], len(runs[i]), "run shard")
-            rows, grades, ties = runs[i][s]
-            start, stop = self._window(message, len(rows))
-            await service._endpoint(i, s)._call()
-            _check_valve(columnar)
-            return {
-                "rows": rows[start:stop],
-                "grades": grades[start:stop],
-                "ties": ties[start:stop],
-            }
+            start, count = self._window(message, len(runs[i][s][0]))
+            page = await service._endpoint(i, s).run_page(start, count)
+            return page._asdict()
         i = _index(message["src"], service.num_lists, "source")
         if op == "page":
-            start, stop = self._window(message, service.num_objects)
-            db = columnar._speculation_store()
-            await service._endpoint(i)._call()
-            _check_valve(db)
-            return {
-                "objects": db.ids_for_rows(db._order_rows[i][start:stop]),
-                "grades": db._order_grades[i][start:stop],
-            }
+            start, count = self._window(message, service.num_objects)
+            objects, grades = await service._endpoint(i)._slice(start, count)
+            return {"objects": objects, "grades": grades}
         ids = message["ids"]
         if not isinstance(ids, list):
             raise WireFormatError("'ids' must be a list")
-        db = columnar._speculation_store()
-        await service._endpoint(i)._call()
-        return {"grades": db._gather(db.rows_for(ids), i)}
+        grades = await service._endpoint(i).random_access_batch(ids)
+        return {"grades": np.array(grades, dtype=np.float64)}
 
     def _window(self, message, length: int) -> tuple[int, int]:
-        """The ``[start, stop)`` slice a ``page``/``run_page`` asks
-        for, clamped to ``length`` -- refused before anything is read
-        when it is negative or empty (a negative slice would serve from
-        the end of the list), or when its grades alone (8 bytes an
-        entry) could not fit one frame."""
+        """The ``(start, count)`` a ``page``/``run_page`` asks for --
+        refused before anything is read when it is negative or empty
+        (a negative slice would serve from the end of the list), or
+        when its grades alone (8 bytes an entry, clamped to
+        ``length``) could not fit one frame."""
         start, count = int(message["start"]), int(message["count"])
         check_window(start, count)
-        stop = min(start + count, length)
-        if (stop - start) * 8 > self._max_frame:
+        served = min(start + count, length) - start
+        if served * 8 > self._max_frame:
             raise WireFormatError(
-                f"a page of {stop - start} entries cannot fit one "
+                f"a page of {served} entries cannot fit one "
                 f"{self._max_frame}-byte frame"
             )
-        return start, stop
+        return start, count
 
     def _error_response(self, rid, exc: BaseException) -> dict:
         response = super()._error_response(rid, exc)

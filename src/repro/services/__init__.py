@@ -10,9 +10,9 @@ with its own access latency.  This package realises that setting:
   :class:`RunStreamSource` serves shard-run pages (``run_page``), and
   :func:`read_pages` is the one sequential reader over either -- the
   middleware, not the source, owns every cursor;
-* :mod:`repro.services.simulated` -- in-process services wrapping
-  per-attribute lists or per-shard runs behind configurable latency,
-  jitter, failure and retry models;
+* :mod:`repro.services.simulated` -- in-process services over one
+  list of a columnar database or one per-shard run, behind
+  configurable latency, jitter, failure and retry models;
 * :mod:`repro.services.session` -- :class:`ServiceSession`, the one
   accounted session over services: it reads each list's sorted entries
   from a :class:`SharedListScan` (a published prefix with one page

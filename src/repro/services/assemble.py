@@ -6,7 +6,7 @@ helpers, pointed the other way -- local data *into* remote services):
 * :func:`services_for_database` -- one
   :class:`~repro.services.simulated.SimulatedListService` per list of
   any :class:`~repro.middleware.database.Database`, preserving its
-  exact per-list tie order;
+  exact per-list tie order (O(m) over a columnar database);
 * :func:`services_for_sources` -- wrap a
   :class:`~repro.middleware.sources.GradedSource` sequence (the
   examples' metasearch engines / restaurant subsystems) as services,
@@ -74,16 +74,25 @@ __all__ = [
 ]
 
 
-def _per_list(value, m: int, what: str) -> list:
-    """Broadcast one model (or None) to every list, or validate a
-    per-list sequence."""
-    if value is None or not isinstance(value, (list, tuple)):
-        return [value] * m
-    if len(value) != m:
-        raise DatabaseError(
-            f"got {len(value)} {what} entries for m={m} lists"
-        )
-    return list(value)
+def _list_models(m: int, latency, failures, retry) -> list[dict]:
+    """Each list's ``latency``/``failures``/``retry`` keywords: one
+    model (or None) is broadcast to every list, a sequence must hold
+    one per list."""
+    columns: list[list] = []
+    for what, value in (
+        ("latency", latency), ("failure", failures), ("retry", retry)
+    ):
+        if value is None or not isinstance(value, (list, tuple)):
+            value = [value] * m
+        elif len(value) != m:
+            raise DatabaseError(
+                f"got {len(value)} {what} entries for m={m} lists"
+            )
+        columns.append(value)
+    return [
+        dict(latency=lat, failures=fail, retry=ret)
+        for lat, fail, ret in zip(*columns)
+    ]
 
 
 def services_for_database(
@@ -95,32 +104,21 @@ def services_for_database(
     capabilities: Sequence[ListCapabilities] | None = None,
 ) -> list[SimulatedListService]:
     """One simulated service per list of ``db``, streaming that list's
-    exact sorted order (tie placement included)."""
+    exact sorted order (tie placement included), all over one columnar
+    snapshot ``db.to_columnar()``: O(m) over a columnar database, and
+    a frozen copy of a mutable one (later writes do not show)."""
+    snapshot = db.to_columnar()
     m = db.num_lists
-    n = db.num_objects
-    lat = _per_list(latency, m, "latency")
-    fail = _per_list(failures, m, "failure")
-    ret = _per_list(retry, m, "retry")
-    services: list[SimulatedListService] = []
-    for i in range(m):
-        entries = [db.sorted_entry(i, pos) for pos in range(n)]
-        caps = (
-            capabilities[i]
-            if capabilities is not None
-            else ListCapabilities()
+    caps = [ListCapabilities()] * m if capabilities is None else capabilities
+    return [
+        SimulatedListService._over(
+            snapshot, i, f"list-{i}",
+            supports_sorted=caps[i].sorted_allowed,
+            supports_random=caps[i].random_allowed,
+            **models,
         )
-        services.append(
-            SimulatedListService(
-                f"list-{i}",
-                entries,
-                supports_sorted=caps.sorted_allowed,
-                supports_random=caps.random_allowed,
-                latency=lat[i],
-                failures=fail[i],
-                retry=ret[i],
-            )
-        )
-    return services
+        for i, models in enumerate(_list_models(m, latency, failures, retry))
+    ]
 
 
 def services_for_sources(
@@ -135,19 +133,14 @@ def services_for_sources(
     and capability flags."""
     if not sources:
         raise DatabaseError("need at least one source")
-    m = len(sources)
-    lat = _per_list(latency, m, "latency")
-    fail = _per_list(failures, m, "failure")
-    ret = _per_list(retry, m, "retry")
+    models = _list_models(len(sources), latency, failures, retry)
     return [
         SimulatedListService(
             src.name,
             src.entries,
             supports_sorted=src.supports_sorted,
             supports_random=src.supports_random,
-            latency=lat[i],
-            failures=fail[i],
-            retry=ret[i],
+            **models[i],
         )
         for i, src in enumerate(sources)
     ]
@@ -165,27 +158,14 @@ def shard_run_services(
     unit :class:`~repro.middleware.database.ListMergeCursor` merges.
     A sequence model is per *list* (every shard of list ``i`` gets
     entry ``i``), like :func:`services_for_database`."""
-    m = db.num_lists
-    lat = _per_list(latency, m, "latency")
-    fail = _per_list(failures, m, "failure")
-    ret = _per_list(retry, m, "retry")
-    grid: list[list[ShardRunService]] = []
-    for i in range(m):
-        row: list[ShardRunService] = []
-        for s, (rows, grades, ties) in enumerate(db.list_runs(i)):
-            row.append(
-                ShardRunService(
-                    f"list-{i}/shard-{s}",
-                    rows,
-                    grades,
-                    ties,
-                    latency=lat[i],
-                    failures=fail[i],
-                    retry=ret[i],
-                )
-            )
-        grid.append(row)
-    return grid
+    models = _list_models(db.num_lists, latency, failures, retry)
+    return [
+        [
+            ShardRunService(f"list-{i}/shard-{s}", *run, **models[i])
+            for s, run in enumerate(db.list_runs(i))
+        ]
+        for i in range(db.num_lists)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """In-process simulated remote services.
 
-Each simulated service wraps local data -- a per-attribute graded list,
-or one shard's sorted run of one list -- behind the asynchronous
-:class:`~repro.services.protocol.RemoteGradedSource` contract, with
+Each simulated service wraps local data -- one list of a columnar
+database, read in place, or one shard's sorted run of one list --
+behind the asynchronous
+:class:`~repro.services.protocol.RemoteGradedSource` contract (the
+query server's source ops serve through them too), with
 three composable behaviour models:
 
 :class:`LatencyModel`
@@ -32,21 +34,24 @@ from __future__ import annotations
 
 import asyncio
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
 from ..middleware.access import ListCapabilities
+from ..middleware.database import ColumnarDatabase
 from ..middleware.errors import (
     DatabaseError,
     ServiceTimeoutError,
     ServiceTransientError,
     ServiceUnavailableError,
-    UnknownObjectError,
 )
 from .protocol import RunPage, SortedPage, check_window
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..store.valve import ResidencyValve
 
 __all__ = [
     "LatencyModel",
@@ -189,10 +194,9 @@ class RetryPolicy:
 
 class _SimulatedEndpoint:
     """Shared latency / failure / retry plumbing of the simulated
-    services and of the query server's source ops.  Each
-    network-shaped operation calls :meth:`_call` once per page or
-    batch; the method sleeps, consults the failure model, and retries
-    retryable failures within the policy."""
+    services.  Each network-shaped operation calls :meth:`_call` once
+    per page or batch; the method sleeps, consults the failure model,
+    and retries retryable failures within the policy."""
 
     def __init__(
         self,
@@ -247,12 +251,15 @@ class _SimulatedEndpoint:
 
 
 class SimulatedListService(_SimulatedEndpoint):
-    """One attribute's graded list behind the remote protocol.
+    """One list of a columnar database behind the remote protocol,
+    read at each op from the database's current columnar store.
 
     ``entries`` must already be in the authoritative sorted order
-    (grade non-increasing); tie placement is preserved exactly as
-    given, like :meth:`~repro.middleware.database.Database.from_columns`
-    -- the simulated service *is* the authority on its tie order.
+    (grade non-increasing); they compile into a one-list database with
+    tie placement preserved exactly as given, like
+    :meth:`~repro.middleware.database.Database.from_columns` -- the
+    simulated service *is* the authority on its tie order.
+    :meth:`_over` serves a list of a database already held instead.
     """
 
     def __init__(
@@ -267,33 +274,30 @@ class SimulatedListService(_SimulatedEndpoint):
         retry: RetryPolicy | None = None,
     ):
         super().__init__(name, latency, failures, retry)
-        self._entries = [(obj, float(g)) for obj, g in entries]
-        if not self._entries:
-            raise DatabaseError(f"service {name!r} has no entries")
-        previous = None
-        self._grades: dict[Hashable, float] = {}
-        for obj, grade in self._entries:
-            if previous is not None and grade > previous + 1e-15:
-                raise DatabaseError(
-                    f"service {name!r} entries are not sorted descending "
-                    f"at object {obj!r}"
-                )
-            previous = grade
-            if obj in self._grades:
-                raise DatabaseError(
-                    f"service {name!r} graded object {obj!r} twice"
-                )
-            self._grades[obj] = grade
+        try:
+            self._db = ColumnarDatabase.from_columns([list(entries)])
+        except DatabaseError as exc:
+            raise DatabaseError(f"service {name!r}: {exc}") from exc
+        self._list = 0
         self.supports_sorted = supports_sorted
         self.supports_random = supports_random
 
-    @property
-    def num_entries(self) -> int:
-        return len(self._entries)
+    @classmethod
+    def _over(
+        cls, db: ColumnarDatabase, list_index: int, name: str, *,
+        supports_sorted: bool = True, supports_random: bool = True, **models,
+    ) -> "SimulatedListService":
+        """List ``list_index`` of ``db`` as a service (O(1))."""
+        service = cls.__new__(cls)
+        _SimulatedEndpoint.__init__(service, name, **models)
+        service._db, service._list = db, list_index
+        service.supports_sorted = supports_sorted
+        service.supports_random = supports_random
+        return service
 
     @property
-    def objects(self) -> set[Hashable]:
-        return set(self._grades)
+    def num_entries(self) -> int:
+        return self._db.num_objects
 
     def capabilities(self) -> ListCapabilities:
         return ListCapabilities(
@@ -301,39 +305,49 @@ class SimulatedListService(_SimulatedEndpoint):
             random_allowed=self.supports_random,
         )
 
+    async def _slice(self, start: int, count: int) -> tuple[list, np.ndarray]:
+        """Entries ``[start, start + count)`` as ``(ids, grades array)``
+        after one service call and the store's residency valve: the
+        read behind :meth:`page` and the daemon's ``page`` op."""
+        check_window(start, count)
+        await self._call()
+        db = self._db._speculation_store()
+        if db._valve is not None:
+            db._valve.check()
+        i, stop = self._list, start + count
+        return (
+            db.ids_for_rows(db._order_rows[i][start:stop]),
+            db._order_grades[i][start:stop],
+        )
+
     async def page(self, start: int, count: int) -> SortedPage:
         """One stateless page: entries ``[start, start + count)`` of
         the sorted list, one service call (latency and failure
         injection included)."""
-        check_window(start, count)
-        await self._call()
-        page = self._entries[start : start + count]
-        return SortedPage([obj for obj, _ in page], [g for _, g in page])
+        objects, grades = await self._slice(start, count)
+        return SortedPage(objects, grades.tolist())
 
     async def random_access_batch(
         self, objects: Sequence[Hashable]
     ) -> list[float]:
+        """The grades of ``objects``, positionally, after one service
+        call: a valve-respecting gather.  One object (TA's scalar
+        probe) is read without arrays, under the same valve check."""
         await self._call()
-        grades = self._grades
-        out: list[float] = []
-        for obj in objects:
-            grade = grades.get(obj)
-            if grade is None:
-                raise UnknownObjectError(obj)
-            out.append(grade)
-        return out
+        db = self._db._speculation_store()
+        if len(objects) == 1:
+            row = db._row_of.get(objects[0])
+            if row is not None:
+                valve = db._valve
+                if valve is not None and valve.slice_rows is not None:
+                    valve.check()
+                return [db._matrix.item(row, self._list)]
+        return db._gather(db.rows_for(objects), self._list).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        modes = "".join(
-            flag
-            for flag, on in (
-                ("S", self.supports_sorted),
-                ("R", self.supports_random),
-            )
-            if on
-        )
+        modes = "S" * self.supports_sorted + "R" * self.supports_random
         return (
-            f"<SimulatedListService {self.name!r} n={len(self._entries)} "
+            f"<SimulatedListService {self.name!r} n={self.num_entries} "
             f"modes={modes or '-'}>"
         )
 
@@ -367,25 +381,38 @@ class ShardRunService(_SimulatedEndpoint):
             raise DatabaseError(
                 f"service {name!r}: run arrays disagree in length"
             )
-        self._rows = np.asarray(rows, dtype=np.intp)
-        self._grades = np.asarray(grades, dtype=np.float64)
-        self._ties = np.asarray(ties, dtype=np.int64)
+        run = RunPage(
+            np.asarray(rows, dtype=np.intp),
+            np.asarray(grades, dtype=np.float64),
+            np.asarray(ties, dtype=np.int64),
+        )
+        self._run: Callable[[], tuple] = lambda: run
+        self._valve: ResidencyValve | None = None
+
+    @classmethod
+    def _over(
+        cls, name: str, run: Callable[[], tuple],
+        valve: ResidencyValve | None, **models,
+    ) -> "ShardRunService":
+        """The run ``run()`` returns at each op, under ``valve``."""
+        service = cls.__new__(cls)
+        _SimulatedEndpoint.__init__(service, name, **models)
+        service._run, service._valve = run, valve
+        return service
 
     @property
     def num_entries(self) -> int:
-        return len(self._rows)
+        return len(self._run()[0])
 
     async def run_page(self, start: int, count: int) -> RunPage:
         """One stateless page: entries ``[start, start + count)`` of
         the run, one service call."""
         check_window(start, count)
         await self._call()
+        if self._valve is not None:
+            self._valve.check()
         stop = start + count
-        return RunPage(
-            self._rows[start:stop],
-            self._grades[start:stop],
-            self._ties[start:stop],
-        )
+        return RunPage(*(part[start:stop] for part in self._run()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ShardRunService {self.name!r} n={len(self._rows)}>"
+        return f"<ShardRunService {self.name!r} n={self.num_entries}>"

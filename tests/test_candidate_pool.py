@@ -7,7 +7,7 @@ queries to the heap's answers on matching stores (tied grades, ``theta
 > 1`` cutoffs, high-``B`` members of ``topk``), check that the columnar
 engines never touch the ``B``-heap, pin the number of full viability
 scans CA needs, and hold the vectorised :func:`~repro.core.chunks.known_rows`
-to the per-entry loop it replaced.
+and :func:`~repro.core.chunks.first_new_entries` to per-entry loops.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ from repro.aggregation.standard import AVERAGE, MIN, SUM
 from repro.core import bounds
 from repro.core.bounds import ArrayCandidateStore, CandidateStore
 from repro.core.ca import CombinedAlgorithm
-from repro.core.chunks import assemble_sorted_chunk, known_rows
+from repro.core.chunks import (
+    assemble_sorted_chunk,
+    first_new_entries,
+    known_rows,
+)
 from repro.core.nra import NoRandomAccessAlgorithm
 from repro.core.stream_combine import StreamCombine
 from repro.middleware.cost import CostModel
@@ -229,3 +233,45 @@ def test_known_rows_matches_the_per_entry_loop(seed, chunk_rounds):
             positions[i] += c
         bottoms = chunk.bottoms_matrix[-1].tolist()
     assert repeats > 0
+
+
+@pytest.mark.parametrize("chunk_rounds", [1, 3, 8, 40])
+def test_first_new_entries_matches_the_per_entry_scan(chunk_rounds):
+    """The chunk's shared ``(row, entry)`` grouping picks the entries at
+    which objects new to the run first appear, as a per-entry scan
+    does -- within a chunk and across chunks."""
+    rng = np.random.default_rng(7)
+    n, m = 40, 3
+    base = rng.random(n)
+    db = ColumnarDatabase.from_array(
+        np.clip(base[:, None] + 0.1 * rng.random((n, m)), 0.0, 1.0)
+    )
+    seen_rows = np.zeros(n, dtype=bool)
+    positions = [0] * m
+    bottoms = [1.0] * m
+    while True:
+        chunk = assemble_sorted_chunk(
+            db._order_rows,
+            db._order_grades,
+            positions,
+            range(m),
+            (1,) * m,
+            chunk_rounds,
+            n,
+            m,
+            bottoms,
+        )
+        if chunk is None:
+            break
+        seen = set(np.nonzero(seen_rows)[0].tolist())
+        want = []
+        for entry, row in enumerate(chunk.rows.tolist()):
+            if row not in seen:
+                seen.add(row)
+                want.append(entry)
+        assert first_new_entries(chunk, seen_rows).tolist() == want
+        seen_rows[chunk.rows] = True
+        for i, c in enumerate(chunk.counts):
+            positions[i] += c
+        bottoms = chunk.bottoms_matrix[-1].tolist()
+    assert seen_rows.all()

@@ -432,6 +432,30 @@ class TestPageContract:
         assert len(calls) == -(-n // batch_size)
         assert calls == [(p, batch_size) for p in range(0, n, batch_size)]
 
+    def test_string_ids_and_tied_grades_keep_their_types(self):
+        """Over string ids and tied grades, every sorted source kind
+        serves Python float grades and ids equal to, and of the type
+        of, ``sorted_entry``'s; a one-object random access returns the
+        same grade from all three."""
+        named = Database.from_array(
+            np.random.default_rng(23).integers(0, 4, (40, 3)) / 3.0,
+            object_ids=[f"doc-{r}" for r in range(40)],
+        )
+        probe = named.sorted_entry(1, 17)[0]
+        grades = []
+        with serve(named.to_sharded(2)) as server:
+            for kind in ("simulated", "network", "replicated"):
+                read, n, reference = page_source(kind, named, server)
+                served = entries(run_async(read(0, n)))
+                assert served == reference
+                for (obj, grade), (want_obj, _) in zip(served, reference):
+                    assert type(grade) is float
+                    assert type(obj) is type(want_obj)
+                (grade,) = run_async(read.__self__.random_access_batch([probe]))
+                assert type(grade) is float
+                grades.append(grade)
+        assert grades == [named.grade(probe, 1)] * 3
+
 
 class TestHostileSourceOps:
     """Malformed source ops come back as ``bad_request`` error frames,
