@@ -1,9 +1,9 @@
 """Shared chunk assembly for the speculative columnar engines.
 
-The chunked engines (TA's ``_execute_columnar`` and the
-``_run_columnar`` engines of NRA, CA and Stream-Combine) speculate the
-next ``chunk_rounds`` rounds' worth of sorted entries through the
-uncharged columnar view.  The delicate conventions live here, once:
+The chunked engines (TA's ``_execute_columnar``, the bound engine NRA
+and CA share, and Stream-Combine's) speculate the next
+``chunk_rounds`` rounds' worth of sorted entries through the uncharged
+columnar view.  The delicate conventions live here, once:
 
 * entries are ordered exactly as the scalar loops consume them -- a
   stable sort by (round, list index), with within-list slice order
@@ -22,16 +22,25 @@ the session's batched access methods; only :meth:`ChunkReplay.commit`
 touches accounting, with one
 :meth:`~repro.middleware.access.AccessSession.charge_schedule` call.
 
+The bound-based engines (NRA/CA and Stream-Combine) run lockstep over
+every list, one entry per list per round, and share one driver for it:
+:class:`LockstepChunks` owns the view's order arrays, the per-list
+positions, the chunk-growth policy and the lockstep
+:func:`assemble_sorted_chunk` call, and yields one :class:`ChunkReplay`
+per chunk until the session's budget expires or every list is
+exhausted.  TA keeps its own loop (list subsets, batch sizes and a
+larger cap).
+
 Besides assembly, this module holds the per-entry derivations the
-bound-based engines (NRA, CA, Stream-Combine) share: the mid-round
-bottom vectors each entry's cached ``B`` must see
-(:func:`entry_bottoms`), the cumulative known-field rows feeding the
-vectorised ``W``/``B`` computations (:func:`known_rows`), the index of
-each round's last entry (:func:`round_last_entries`), and the entries
-at which objects new to the run first appear (:func:`first_new_entries`:
-the running seen counts and the candidate pool's joins).  Each mirrors,
-vectorised, exactly what the scalar reference loops observe entry by
-entry -- the bit-for-bit differential tests depend on that.
+bound-based engines share: the mid-round bottom vectors each entry's
+cached ``B`` must see (:func:`entry_bottoms`), the cumulative
+known-field rows feeding the vectorised ``W``/``B`` computations
+(:func:`known_rows`), the index of each round's last entry
+(:func:`round_last_entries`), and the entries at which objects new to
+the run first appear (:func:`first_new_entries`: the running seen
+counts and the candidate pool's joins).  Each mirrors, vectorised,
+exactly what the scalar reference loops observe entry by entry -- the
+bit-for-bit differential tests depend on that.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .bounds import ArrayCandidateStore
 
 __all__ = [
     "SortedChunk",
@@ -52,6 +63,7 @@ __all__ = [
     "witness_trajectory",
     "ChunkWitness",
     "ChunkReplay",
+    "LockstepChunks",
 ]
 
 
@@ -309,19 +321,18 @@ class ChunkWitness:
 
 class ChunkReplay:
     """One chunk's derived state and commit bookkeeping, shared by the
-    bound-based chunked engines (NRA, CA, Stream-Combine).
+    bound-based chunked engines (NRA/CA and Stream-Combine).
 
-    Owns, once, the per-chunk scaffolding the three replays share: the
+    Owns, once, the per-chunk scaffolding the replays share: the
     vectorised derivations (per-entry ``W`` and cached ``B``, per-round
     thresholds and bottoms, the cumulative new-seen counts), the lazy
     sync of the store to a round (field matrix, bottoms, seen count and
     the candidate pool), the witness-bound trajectory plumbing, and the
-    end-of-chunk commit with its one charging call.  The
-    engine-specific parts -- which entries feed the ``W`` side, CA's
-    random-access phases, the halting-check bodies -- stay in the
-    engines.
+    end-of-chunk commit with its one charging call.  Each engine keeps
+    its own replay body -- which entries feed the ``W`` side, CA's
+    random-access phases, the halting-check bodies.
 
-    The engines all run lockstep over every list (``sorted_lists =
+    Replays come from :class:`LockstepChunks` (``sorted_lists =
     range(m)``, one entry per list per round), which is what
     :meth:`commit`'s charge assumes; TA's engine (arbitrary list subsets
     and batch sizes) keeps its own charging.
@@ -346,7 +357,7 @@ class ChunkReplay:
         "seen_base",
         "_store",
         "_seen_rows",
-        "_bottoms",
+        "_positions",
         "_synced",
         "_joined",
     )
@@ -355,10 +366,9 @@ class ChunkReplay:
         self,
         chunk: SortedChunk,
         aggregation,
-        store,
+        store: ArrayCandidateStore,
         seen_rows: np.ndarray,
-        bottoms,
-        m: int,
+        positions: list[int],
     ):
         self.chunk = chunk
         self.aggregation = aggregation
@@ -376,7 +386,11 @@ class ChunkReplay:
         self.bott = chunk.bottoms_matrix
         self.tau_list = aggregation.aggregate_batch(self.bott).tolist()
         self.b_arr = aggregation.aggregate_batch(
-            np.where(self.unknown, entry_bottoms(chunk, bottoms, m), k_matrix)
+            np.where(
+                self.unknown,
+                entry_bottoms(chunk, store.bottoms, store.m),
+                k_matrix,
+            )
         )
         self.new_entries = first_new_entries(chunk, seen_rows)
         # per round r: objects new to the run seen at rounds <= r (plus
@@ -387,7 +401,7 @@ class ChunkReplay:
         self.seen_base = int(store.seen_count_value)
         self._store = store
         self._seen_rows = seen_rows
-        self._bottoms = bottoms
+        self._positions = positions
         self._synced = 0
         self._joined = 0
 
@@ -426,7 +440,7 @@ class ChunkReplay:
         their first entry's cached ``B`` (before a halting check or a CA
         phase reads the store; idempotent per prefix)."""
         self.sync_fields(self.round_ends[r] + 1)
-        self._bottoms[:] = self.bott[r].tolist()
+        self._store.bottoms[:] = self.bott[r].tolist()
         upto_new = self.seen_cum[r]
         self._store.seen_count_value = self.seen_base + upto_new
         if upto_new > self._joined:
@@ -454,17 +468,18 @@ class ChunkReplay:
 
         return witness.bound_at(r, compute)
 
-    def commit(self, session, positions, consumed: int, phases=()) -> int:
+    def commit(self, session, consumed: int, phases=()) -> int:
         """End-of-chunk bookkeeping once the replay fixed the number of
         ``consumed`` rounds: the chunk's charges -- the consumed sorted
         prefix with CA's speculated random-access ``phases`` spliced in
         (see :meth:`~repro.middleware.access.AccessSession.charge_schedule`)
-        -- and the caller's positions, then the store's state after the
+        -- and the driver's positions, then the store's state after the
         last consumed round (:meth:`sync_to`), the seen set and the
         per-entry ``b_evaluations`` accounting.  Returns the number of
         entries consumed."""
         counts = self.chunk.counts
         session.charge_schedule(counts, phases, consumed)
+        positions = self._positions
         for i, c in enumerate(counts):
             positions[i] += min(consumed, c)
         upto = self.chunk.consumed_upto(consumed)
@@ -472,3 +487,61 @@ class ChunkReplay:
         self._seen_rows[self.rows_all[:upto]] = True
         self._store.b_evaluations += upto
         return upto
+
+
+class LockstepChunks:
+    """The lockstep chunk driver of the bound-based engines.
+
+    Built over a batch-capable session, it holds the columnar view
+    (``db``), a fresh :class:`~repro.core.bounds.ArrayCandidateStore`
+    (``store``), the per-list positions and the rows seen so far.
+    Iterating yields one :class:`ChunkReplay` per chunk of lockstep
+    rounds -- 32 rounds first, doubling up to 2048 -- whose
+    :meth:`ChunkReplay.commit` advances the positions.  Iteration stops
+    at a chunk boundary when the session's budget has expired (checked
+    first, once per boundary; :attr:`deadline` turns true) or when every
+    list is exhausted; an engine that halts simply stops iterating.
+    """
+
+    def __init__(self, session, aggregation, k: int):
+        self.db = session.columnar_view()
+        n = self.db.num_objects
+        m = session.num_lists
+        self.store = ArrayCandidateStore(aggregation, m, k, n)
+        #: true once iteration stopped because the budget expired
+        self.deadline = False
+        self._session = session
+        self._aggregation = aggregation
+        self._positions = [session.position(i) for i in range(m)]
+        self._seen_rows = np.zeros(n, dtype=bool)
+
+    def __iter__(self):
+        session = self._session
+        db = self.db
+        n = db.num_objects
+        store = self.store
+        m = store.m
+        positions = self._positions
+        chunk_rounds = 32
+        while True:
+            if session.budget_exceeded:
+                # chunk boundary: the store is committed and consistent
+                self.deadline = True
+                return
+            if all(p >= n for p in positions):
+                return
+            chunk = assemble_sorted_chunk(
+                db._order_rows,
+                db._order_grades,
+                positions,
+                range(m),
+                (1,) * m,
+                chunk_rounds,
+                n,
+                m,
+                store.bottoms,
+            )
+            yield ChunkReplay(
+                chunk, self._aggregation, store, self._seen_rows, positions
+            )
+            chunk_rounds = min(chunk_rounds * 2, 2048)

@@ -24,7 +24,9 @@ Execution backends: on a columnar session
 algorithm runs a *speculative chunked engine*, bit-for-bit equivalent to
 the scalar reference loop (differential-tested: same items, halting
 round and reason, and access accounting), following the
-speculate -> replay -> charge-prefix scheme of NRA and CA:
+speculate -> replay -> charge-prefix scheme of NRA and CA and driven,
+like their bound engine, by the lockstep chunk driver
+:class:`~repro.core.chunks.LockstepChunks`:
 
 speculate
     read the next chunk of lockstep rounds through the uncharged
@@ -66,8 +68,8 @@ from ..middleware.access import AccessSession, ListCapabilities
 from ..middleware.cost import UNIT_COSTS, CostModel
 from ..middleware.database import Database
 from .base import TopKAlgorithm, TopKBuffer
-from .bounds import ArrayCandidateStore, CandidateStore
-from .chunks import ChunkReplay, ChunkWitness, assemble_sorted_chunk
+from .bounds import CandidateStore
+from .chunks import ChunkWitness, LockstepChunks
 from .result import HaltReason, RankedItem, TopKResult
 
 __all__ = ["StreamCombine"]
@@ -172,70 +174,28 @@ class StreamCombine(TopKAlgorithm):
     ) -> TopKResult:
         """The speculative chunked engine (see the module docstring).
 
-        Candidates are row indices into an
+        Chunks come from the lockstep driver
+        :class:`~repro.core.chunks.LockstepChunks` (shared with the
+        NRA/CA bound engine).  Candidates are row indices into its
         :class:`~repro.core.bounds.ArrayCandidateStore`; the buffer of
         fully seen objects is keyed by row and translated back to object
         ids at the end.  Only the candidate pool is maintained:
         Stream-Combine's halting machinery touches candidates
         exclusively through ``find_viable_outside``.
         """
-        db = session.columnar_view()
-        order_rows = db._order_rows
-        order_grades = db._order_grades
+        chunks = LockstepChunks(session, aggregation, k)
+        db = chunks.db
+        store = chunks.store
         n = db.num_objects
-        m = session.num_lists
-        store = ArrayCandidateStore(aggregation, m, k, n)
-        seen_rows = np.zeros(n, dtype=bool)
         w_map = store.w
         full = TopKBuffer(k)
         offer = full.offer
-        bottoms = store.bottoms
-        positions = [session.position(i) for i in range(m)]
         probe = getattr(session, "probe", None)
         rounds = 0
         halt_reason = None
         witness = None
-        chunk_rounds = 32
 
-        while halt_reason is None:
-            if session.budget_exceeded:
-                # chunk boundary: the store is committed and consistent
-                halt_reason = HaltReason.DEADLINE
-                break
-            if all(positions[i] >= n for i in range(m)):
-                # zero-progress round: full check, then EXHAUSTED
-                rounds += 1
-                if probe is not None:
-                    probe.on_round(
-                        rounds, tau=store.threshold, w=full.min_grade
-                    )
-                if full.full:
-                    m_k = full.min_grade
-                    topk_objs = [obj for obj, _ in full.items_desc()]
-                    if not (
-                        store.seen_count_value < n and store.threshold > m_k
-                    ):
-                        if (
-                            store.find_viable_outside(topk_objs, m_k)
-                            is None
-                        ):
-                            halt_reason = HaltReason.NO_VIABLE
-                if halt_reason is None:
-                    halt_reason = HaltReason.EXHAUSTED
-                break
-            # ---- chunk assembly (uncharged view reads) ----
-            chunk = assemble_sorted_chunk(
-                order_rows,
-                order_grades,
-                positions,
-                range(m),
-                (1,) * m,
-                chunk_rounds,
-                n,
-                m,
-                bottoms,
-            )
-            rep = ChunkReplay(chunk, aggregation, store, seen_rows, bottoms, m)
+        for rep in chunks:
             c_eff = rep.c_eff
             # for complete entries the 0-substituted row has no unknowns:
             # their W is the exact overall grade
@@ -272,16 +232,40 @@ class StreamCombine(TopKAlgorithm):
                     halt_reason = HaltReason.NO_VIABLE
                     r_halt = r
                     break
-                witness = ChunkWitness(found[0], chunk, after_round=r)
+                witness = ChunkWitness(found[0], rep.chunk, after_round=r)
             consumed = r_halt + 1 if r_halt is not None else c_eff
-            rep.commit(session, positions, consumed)
+            rep.commit(session, consumed)
             rounds += consumed
             if probe is not None and consumed:
                 taus = tuple(float(t) for t in tau_list[:consumed])
                 probe.on_round(
                     rounds, tau=taus[-1], w=full.min_grade, taus=taus
                 )
-            chunk_rounds = min(chunk_rounds * 2, 2048)
+            if halt_reason is not None:
+                break
+        else:
+            if chunks.deadline:
+                halt_reason = HaltReason.DEADLINE
+            else:
+                # zero-progress round: full check, then EXHAUSTED
+                rounds += 1
+                if probe is not None:
+                    probe.on_round(
+                        rounds, tau=store.threshold, w=full.min_grade
+                    )
+                if full.full:
+                    m_k = full.min_grade
+                    topk_objs = [obj for obj, _ in full.items_desc()]
+                    if not (
+                        store.seen_count_value < n and store.threshold > m_k
+                    ):
+                        if (
+                            store.find_viable_outside(topk_objs, m_k)
+                            is None
+                        ):
+                            halt_reason = HaltReason.NO_VIABLE
+                if halt_reason is None:
+                    halt_reason = HaltReason.EXHAUSTED
 
         ids = db._ids
         fully_seen = len(full.items_desc())

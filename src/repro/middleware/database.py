@@ -605,30 +605,6 @@ class ColumnarDatabase(Database):
         return out
 
     # ------------------------------------------------------------------
-    # scalar-backend compatibility (lazy; only built if legacy internals
-    # are reached, e.g. by code written against the dict representation)
-    # ------------------------------------------------------------------
-    @property
-    def _grades(self) -> dict[ObjectId, tuple[float, ...]]:
-        grades = self.__dict__.get("_grades_cache")
-        if grades is None:
-            rows = self._matrix.tolist()
-            grades = {obj: tuple(rows[r]) for r, obj in enumerate(self._ids)}
-            self.__dict__["_grades_cache"] = grades
-        return grades
-
-    @property
-    def _orderings(self) -> list[list[ObjectId]]:
-        orderings = self.__dict__.get("_orderings_cache")
-        if orderings is None:
-            ids = self._ids
-            orderings = [
-                [ids[r] for r in rows.tolist()] for rows in self._order_rows
-            ]
-            self.__dict__["_orderings_cache"] = orderings
-        return orderings
-
-    # ------------------------------------------------------------------
     # vectorized validation
     # ------------------------------------------------------------------
     def _validate_core(self) -> None:

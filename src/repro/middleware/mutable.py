@@ -473,8 +473,6 @@ class MutableColumnarDatabase(MutableDatabase, ColumnarDatabase):
             for i in lists:
                 self._merged[i] = None
         self._position0_rows = None
-        self.__dict__.pop("_grades_cache", None)
-        self.__dict__.pop("_orderings_cache", None)
 
     # ------------------------------------------------------------------
     # compaction
@@ -522,8 +520,6 @@ class MutableColumnarDatabase(MutableDatabase, ColumnarDatabase):
         self._delta = [{} for _ in range(self._m)]
         self._merged = [None] * self._m
         self._position0_rows = None
-        self.__dict__.pop("_grades_cache", None)
-        self.__dict__.pop("_orderings_cache", None)
         if n:
             self._rebuild_base()
         else:
@@ -641,31 +637,6 @@ class MutableColumnarDatabase(MutableDatabase, ColumnarDatabase):
         return ShardedDatabase.from_database(
             self.to_columnar(), num_shards=num_shards
         )
-
-    # scalar-compat lazy views must exclude tombstoned slots
-    @property
-    def _grades(self) -> dict[ObjectId, tuple[float, ...]]:
-        cached = self.__dict__.get("_grades_cache")
-        if cached is None:
-            ids = self._ids
-            cached = {
-                ids[s]: tuple(self._matrix[s].tolist())
-                for s in self._live_slots().tolist()
-            }
-            self.__dict__["_grades_cache"] = cached
-        return cached
-
-    @property
-    def _orderings(self) -> list[list[ObjectId]]:
-        cached = self.__dict__.get("_orderings_cache")
-        if cached is None:
-            ids = self._ids
-            cached = [
-                [ids[r] for r in self._merged_order(i)[0].tolist()]
-                for i in range(self._m)
-            ]
-            self.__dict__["_orderings_cache"] = cached
-        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

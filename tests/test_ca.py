@@ -1,5 +1,6 @@
 """Unit tests for CA (the Combined Algorithm, Section 8.2)."""
 
+import numpy as np
 import pytest
 
 from repro import datagen
@@ -11,7 +12,9 @@ from repro.core import (
     ThresholdAlgorithm,
 )
 from repro.core.base import QueryError
-from repro.middleware import CostModel, Database
+from repro.middleware import AccessSession, CostModel, Database
+from repro.services import AsyncAccessSession, services_for_database
+from tests.helpers import result_signature
 
 
 class TestCorrectness:
@@ -127,3 +130,58 @@ class TestBookkeepingModes:
     def test_halt_check_interval_validated(self):
         with pytest.raises(ValueError):
             CombinedAlgorithm(halt_check_interval=0)
+
+
+def _nra_and_unreachable_phase_ca(backend, db, aggregation, k):
+    """One run each of ``NoRandomAccessAlgorithm()`` and
+    ``CombinedAlgorithm(h=N+1)`` -- a period no phase can reach, since
+    only rounds that progressed fire one -- on ``backend``."""
+    results = []
+    for algorithm in (
+        NoRandomAccessAlgorithm(),
+        CombinedAlgorithm(h=db.num_objects + 1),
+    ):
+        if backend == "async":
+            with AsyncAccessSession(
+                services_for_database(db), batch_size=8, prefetch_pages=0
+            ) as session:
+                results.append(algorithm.run(session, aggregation, k))
+        else:
+            source = db.to_columnar() if backend == "columnar" else db
+            session = AccessSession(source)
+            assert session.supports_batches == (backend == "columnar")
+            results.append(algorithm.run(session, aggregation, k))
+    return results
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "scalar",
+        "columnar",
+        pytest.param("async", marks=pytest.mark.async_services),
+    ],
+)
+@pytest.mark.parametrize("grades", ["tied", "continuous"])
+@pytest.mark.parametrize(
+    "aggregation", [AVERAGE, MIN, SUM], ids=lambda agg: agg.name
+)
+def test_nra_is_ca_with_no_phase(backend, grades, aggregation):
+    """NRA and CA run one bound engine; with no phase it is NRA.  Both
+    must agree on items (with ``W``/``B`` bounds), rounds, halt reason
+    and the sorted/random access counts."""
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        if grades == "tied":
+            matrix = rng.integers(0, 6, (160, 3)) / 5.0
+        else:
+            matrix = rng.random((160, 3))
+        db = Database.from_array(matrix)
+        for k in (1, 3, 10):
+            nra, ca = _nra_and_unreachable_phase_ca(
+                backend, db, aggregation, k
+            )
+            assert result_signature(nra) == result_signature(ca)
+            assert ca.random_accesses == 0
+            assert ca.extras["random_phases"] == 0
+            assert nra.extras == {"b_evaluations": ca.extras["b_evaluations"]}

@@ -552,6 +552,40 @@ class TestQueryBudget:
         assert result.halt_reason == HaltReason.DEADLINE
         verify_against_oracle(result, oracle, AVERAGE)
 
+    @pytest.mark.parametrize(
+        "max_cost,rounds", [(0.0, 0), (1.0, 32)], ids=["zero", "first-chunk"]
+    )
+    @pytest.mark.parametrize(
+        "algorithm,cost_model",
+        [
+            (NoRandomAccessAlgorithm(), None),
+            (CombinedAlgorithm(), CostModel(1.0, 5.0)),
+            (StreamCombine(), None),
+        ],
+        ids=["nra", "ca", "stream-combine"],
+    )
+    def test_bound_engines_halt_with_deadline_at_chunk_boundaries(
+        self, algorithm, cost_model, max_cost, rounds
+    ):
+        """Every engine on the lockstep chunk driver stops at a chunk
+        boundary once its budget is spent: a zero ceiling before the
+        first chunk, a ceiling of 1 after the first chunk of 32 rounds
+        (none of which halts on this database), and the answer stays
+        certified."""
+        rng = np.random.default_rng(47)
+        scalar = Database.from_array(rng.random((400, 3)))
+        oracle = {obj: scalar.grade_vector(obj) for obj in scalar.objects}
+        session = AccessSession(
+            scalar.to_columnar(),
+            cost_model or CostModel(1.0, 1.0),
+            budget=QueryBudget(max_cost=max_cost),
+        )
+        assert session.supports_batches
+        result = algorithm.run(session, AVERAGE, 3)
+        assert result.halt_reason == HaltReason.DEADLINE
+        assert result.rounds == rounds
+        verify_against_oracle(result, oracle, AVERAGE)
+
     @settings(
         max_examples=20,
         deadline=None,
